@@ -1,6 +1,6 @@
 """fusedet: toy visible/infrared fusion + diffusion box detection with task-aligned joint training."""
 
-from .autodiff import ParamSet, Tape, Var, backward, flatten_grads, forward_op, gradients, unflatten
+from .autodiff import ParamSet, Tape, Var, backward, flatten_grads, gradients, unflatten
 from .gmta import AlignmentReport, align, build_gradient_matrix, combine, condition_number, gmta_step, svd
 from .harness import RunConfig, TrainLog, train
 from .model import ModelConfig, ToyModel
@@ -20,7 +20,6 @@ __all__ = [
     "combine",
     "condition_number",
     "flatten_grads",
-    "forward_op",
     "gmta_step",
     "gradients",
     "svd",

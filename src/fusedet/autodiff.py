@@ -1,10 +1,18 @@
 """Dense float64 tensors on a define-by-run reverse-mode differentiation tape.
 
-A :class:`Tape` records one forward computation and is rebuilt for every
-new one.  Values are plain C-contiguous float64 numpy arrays; wrapping a
-value in a :class:`Var` ties it to a tape node so exact reverse-mode
-gradients can be pulled out of any scalar result.  Tensors are treated as
-immutable once recorded.
+A :class:`Tape` numbers the nodes of one forward computation and is rebuilt
+for every new one.  Values are plain C-contiguous float64 numpy arrays;
+wrapping a value in a :class:`Var` ties it to a tape node so exact
+reverse-mode gradients can be pulled out of any scalar result.  Tensors are
+treated as immutable once recorded.
+
+The graph lives in the Vars, not in the tape: each Var that needs a
+gradient carries its own backward closure, which holds its input Vars and
+whatever buffers the backward pass needs.  Nothing points back from a tape
+to its Vars, so a graph, its buffers and its tape are freed by reference
+counting as soon as the last Var that reaches them is dropped.  A Var that
+needs no gradient keeps no closure, so a subgraph of constants holds only
+its own values.
 
 Broadcasting is limited to scalar-with-tensor; anything fancier must be
 spelled out with explicit ops.
@@ -12,7 +20,8 @@ spelled out with explicit ops.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+import heapq
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,22 +39,19 @@ def _as_array(x) -> np.ndarray:
     return np.ascontiguousarray(a)
 
 
-class _Node:
-    __slots__ = ("backward_fn",)
-
-    def __init__(self, backward_fn):
-        self.backward_fn = backward_fn
-
-
 class Tape:
-    """Append-only record of one forward pass."""
+    """Counter that orders the nodes of one forward pass.
+
+    A tape holds no references to its nodes; it stays alive only while
+    some Var recorded on it does.
+    """
 
     def __init__(self):
-        self._nodes: list[_Node] = []
+        self._count = 0
 
     def _record(self, value: np.ndarray, backward_fn, requires_grad: bool) -> "Var":
-        v = Var(self, len(self._nodes), value, requires_grad)
-        self._nodes.append(_Node(backward_fn))
+        v = Var(self, self._count, value, requires_grad, backward_fn if requires_grad else None)
+        self._count += 1
         return v
 
     def leaf(self, value, requires_grad: bool = False) -> "Var":
@@ -55,19 +61,25 @@ class Tape:
         return self.leaf(value, requires_grad=False)
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return self._count
 
 
 class Var:
-    """Tensor value bound to a tape node."""
+    """Tensor value bound to a tape node.
 
-    __slots__ = ("tape", "idx", "value", "requires_grad")
+    ``backward_fn`` maps the gradient of this node to ``(input Var,
+    gradient)`` pairs; it is None for leaves and for nodes that need no
+    gradient.
+    """
 
-    def __init__(self, tape: Tape, idx: int, value: np.ndarray, requires_grad: bool):
+    __slots__ = ("tape", "idx", "value", "requires_grad", "backward_fn")
+
+    def __init__(self, tape: Tape, idx: int, value: np.ndarray, requires_grad: bool, backward_fn):
         self.tape = tape
         self.idx = idx
         self.value = value
         self.requires_grad = requires_grad
+        self.backward_fn = backward_fn
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -603,41 +615,6 @@ def linear(x: Var, w: Var, b: Var | None = None) -> Var:
     return tape._record(out, backward, req)
 
 
-OP_TABLE: dict[str, Callable[..., Var]] = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "matmul": matmul,
-    "conv2d": conv2d,
-    "relu": relu,
-    "sigmoid": sigmoid,
-    "maximum": maximum,
-    "mean": mean,
-    "sum": tsum,
-    "abs": absolute,
-    "square": square,
-    "sqrt": sqrt,
-    "blur": blur,
-    "upsample_nearest": upsample_nearest,
-    "concat": concat,
-    "reshape": reshape,
-    "spatial_norm": spatial_norm,
-    "rowwise_outer": rowwise_outer,
-    "gather_pixels": gather_pixels,
-    "linear": linear,
-}
-
-
-def forward_op(kind: str, *args, **kwargs) -> Var:
-    """Dispatch an op by name; the registered set is the tape's whole vocabulary."""
-    try:
-        fn = OP_TABLE[kind]
-    except KeyError:
-        raise ValueError(f"forward_op: unknown op kind {kind!r}") from None
-    return fn(*args, **kwargs)
-
-
 def gradients(root: Var, wrt: Sequence[Var]) -> list[np.ndarray]:
     """Reverse-mode gradients of a scalar root for each requested var.
 
@@ -650,21 +627,26 @@ def gradients(root: Var, wrt: Sequence[Var]) -> list[np.ndarray]:
         if v.tape is not tape:
             raise ValueError("backward: wrt var lives on a different tape")
     wanted: dict[int, np.ndarray | None] = {v.idx: None for v in wrt}
-    acc: dict[int, np.ndarray] = {root.idx: np.ones_like(root.value)}
-    for idx in range(root.idx, -1, -1):
-        g = acc.pop(idx, None)
-        if g is None:
-            continue
+    # pending parents, idx -> (Var, accumulated gradient), visited in
+    # descending idx so every node's gradient is complete when it is popped
+    pending: dict[int, tuple[Var, np.ndarray]] = {root.idx: (root, np.ones_like(root.value))}
+    order = [-root.idx]
+    while order:
+        idx = -heapq.heappop(order)
+        var, g = pending.pop(idx)
         if idx in wanted:
-            wanted[idx] = g if wanted[idx] is None else wanted[idx] + g
-        fn = tape._nodes[idx].backward_fn
-        if fn is None:
+            wanted[idx] = g
+        if var.backward_fn is None:
             continue
-        for parent, pg in fn(g):
+        for parent, pg in var.backward_fn(g):
             if not parent.requires_grad:
                 continue
-            prev = acc.get(parent.idx)
-            acc[parent.idx] = pg if prev is None else prev + pg
+            prev = pending.get(parent.idx)
+            if prev is None:
+                heapq.heappush(order, -parent.idx)
+                pending[parent.idx] = (parent, pg)
+            else:
+                pending[parent.idx] = (parent, prev[1] + pg)
     return [wanted[v.idx] if wanted[v.idx] is not None else np.zeros_like(v.value) for v in wrt]
 
 
@@ -672,8 +654,10 @@ class ParamSet:
     """Named parameters with a mask of names shared between the two tasks.
 
     The float64 value arrays live here across iterations; ``place`` binds
-    them onto a fresh tape as gradient-tracked leaves for one forward pass.
-    Updates replace value arrays, never mutate recorded ones.
+    them onto a fresh tape as gradient-tracked leaves for one forward pass
+    and remembers them for :func:`backward`, while ``constants`` binds them
+    as constants for a pass that needs no gradient.  Updates replace value
+    arrays, never mutate recorded ones.
     """
 
     def __init__(self, values: Mapping[str, np.ndarray], shared: Iterable[str] = ()):
@@ -687,6 +671,9 @@ class ParamSet:
     def place(self, tape: Tape) -> dict[str, Var]:
         self.vars = {k: tape.leaf(v, requires_grad=True) for k, v in self.values.items()}
         return self.vars
+
+    def constants(self, tape: Tape) -> dict[str, Var]:
+        return {k: tape.constant(v) for k, v in self.values.items()}
 
     def names(self) -> list[str]:
         return list(self.values)

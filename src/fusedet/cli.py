@@ -9,6 +9,7 @@ field names as RunConfig) plus flag overrides; every command takes
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -35,6 +36,11 @@ def _load_config(args) -> RunConfig:
     base = {}
     if getattr(args, "config", None):
         base = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(base, dict):
+            raise _UsageError(f"config {args.config} must hold a JSON object")
+        unknown = sorted(set(base) - {f.name for f in dataclasses.fields(RunConfig)})
+        if unknown:
+            raise _UsageError(f"unknown key(s) in config {args.config}: {', '.join(unknown)}")
     cfg = RunConfig.from_json(base) if base else RunConfig()
     overrides = {}
     for name in (

@@ -41,6 +41,11 @@ class FusionNetConfig:
         # level 1 is the stem (full resolution), deeper levels halve
         return self.stem_channels if level == 1 else self.stage_channels[level - 2]
 
+    @property
+    def size_multiple(self) -> int:
+        """Image sides must divide by this for the deepest branch to upsample back."""
+        return 2 ** max(max(self.branches) - 1, 0)
+
     def validate(self) -> None:
         if 0 not in self.branches:
             raise ValueError("branch set must include the pixel branch 0")
@@ -191,6 +196,13 @@ def fusion_forward(
 ) -> tuple[Var, list[Var]]:
     """Fused image and the shared feature pyramid (for the detection head)."""
     cfg.validate()
+    h, w = x.value.shape[-2:]
+    m = cfg.size_multiple
+    if h % m or w % m:
+        raise ad.ShapeError(
+            f"fusion_forward: image size {h}x{w} is not a multiple of {m} on each side, "
+            f"which branches {list(cfg.branches)} need"
+        )
     pyramid = backbone_forward(p, x, y, cfg)
     b0 = pixel_block(p, x, y)
     branch_outs = [

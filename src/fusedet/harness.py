@@ -196,6 +196,8 @@ def train(config: RunConfig, batch: SceneBatch | None = None) -> tuple[ToyModel,
             period=config.gmta_period,
             align_enabled=config.gmta,
         )
+        # the losses reach this step's whole graph; free it before the next forward
+        del loss_u, loss_d
         log.append(
             StepRecord(
                 step=step,
@@ -214,10 +216,18 @@ def train(config: RunConfig, batch: SceneBatch | None = None) -> tuple[ToyModel,
     return model, log
 
 
+def _check_finite(pair: sd.ScenePair) -> None:
+    for name, img in (("visible", pair.visible), ("infrared", pair.infrared)):
+        bad = np.count_nonzero(~np.isfinite(img))
+        if bad:
+            raise ValueError(f"scene {pair.scene_id or '<unnamed>'}: {name} image has {bad} non-finite pixel(s)")
+
+
 def fuse_scene(model: ToyModel, pair: sd.ScenePair) -> np.ndarray:
     """Fused image for one scene; pure function of model and inputs."""
+    _check_finite(pair)
     tape = Tape()
-    pvars = model.place(tape)
+    pvars = model.params.constants(tape)
     u, _ = model.forward_fusion(pvars, tape.constant(pair.visible[None]), tape.constant(pair.infrared[None]))
     return u.value
 
@@ -231,6 +241,7 @@ def detect_scene(
     sampling step and maps each box's l2 residual (bounded by the box-space
     diameter 2) to 1 - residual/2.
     """
+    _check_finite(pair)
     schedule = dif.build_schedule(model.cfg.diffusion_steps)
     denoiser = model.denoiser_for_scene(pair.visible, pair.infrared)
     rng = SplitMix64(seed).derive(0xDE7EC7)

@@ -135,7 +135,7 @@ class ToyModel:
     def denoiser_for_scene(self, visible: np.ndarray, infrared: np.ndarray):
         """Closure (z_t, t) -> predicted boxes, with the pyramid computed once."""
         tape = Tape()
-        pvars = self.place(tape)
+        pvars = self.params.constants(tape)
         x = tape.constant(np.asarray(visible)[None])
         y = tape.constant(np.asarray(infrared)[None])
         pyramid = backbone_forward(pvars, x, y, self.cfg.fusion)

@@ -119,13 +119,6 @@ class TestForwardValues:
         with pytest.raises(ValueError, match="sqrt"):
             ad.sqrt(t.constant([-1.0]))
 
-    def test_forward_op_dispatch(self):
-        t = Tape()
-        out = ad.forward_op("relu", t.constant([-2.0, 2.0]))
-        np.testing.assert_array_equal(out.value, [0.0, 2.0])
-        with pytest.raises(ValueError, match="unknown op kind"):
-            ad.forward_op("transmogrify", t.constant([1.0]))
-
 
 class TestBackward:
     def test_sum_of_squares(self):

@@ -32,6 +32,12 @@ class TestExitCodes:
         assert rc == 2
         assert "error" in capsys.readouterr().err.lower()
 
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1, "bogus": 2}))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "bogus" in capsys.readouterr().err
+
     def test_eval_requires_inputs(self, tmp_path, tiny_dataset):
         rc = main(["eval", "--dataset-root", str(tiny_dataset), "--split", "val", "--out", str(tmp_path)])
         assert rc == 1

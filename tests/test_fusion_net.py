@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fusedet import autodiff as ad
 from fusedet import fusion_net as fn
@@ -55,6 +56,37 @@ class TestBackbone:
         t, pv, _ = _place(cfg)
         with pytest.raises(ad.ShapeError, match="modality shapes"):
             fn.backbone_forward(pv, t.constant(np.zeros((1, 8, 8))), t.constant(np.zeros((1, 9, 9))), cfg)
+
+
+# side multiple the deepest enabled branch needs to upsample back to full size
+_SIZE_MULTIPLE = {0: 1, 1: 1, 2: 2, 3: 4, 4: 8}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    h=st.integers(32, 80),
+    w=st.integers(32, 80),
+    branches=st.sets(st.integers(1, 4)).map(lambda s: (0, *sorted(s))),
+)
+@example(h=64, w=68, branches=(0, 1, 2, 3))
+@example(h=64, w=65, branches=(0, 1, 2, 3))
+@example(h=66, w=64, branches=(0, 1, 2, 3))
+@example(h=36, w=40, branches=(0, 4))
+def test_fusion_forward_size_rule(h, w, branches):
+    """Either the fused image has the input's shape, or the size is rejected up front."""
+    cfg = fn.FusionNetConfig(branches=branches)
+    m = _SIZE_MULTIPLE[max(branches)]
+    t = Tape()
+    pv = {k: t.constant(v) for k, v in fn.init_fusion_params(cfg, SplitMix64(0)).items()}
+    img = t.constant(np.full((1, h, w), 0.5))
+    try:
+        u, _ = fn.fusion_forward(pv, img, img, cfg)
+    except ad.ShapeError as e:
+        assert f"multiple of {m}" in str(e)
+        assert h % m or w % m
+    else:
+        assert u.value.shape == (h, w)
+        assert h % m == 0 and w % m == 0
 
 
 class TestRegionMask:

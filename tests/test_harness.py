@@ -1,5 +1,6 @@
 """Training loop contracts: determinism, alignment routing, loss trends, fuse/detect."""
 
+import dataclasses
 import json
 import math
 
@@ -159,6 +160,20 @@ class TestDetect:
         b1, s1 = detect_scene(model, val_batch.pairs[2], 4, seed=9)
         b2, s2 = detect_scene(model, val_batch.pairs[2], 4, seed=9)
         assert np.array_equal(b1, b2) and np.array_equal(s1, s2)
+
+
+@pytest.mark.parametrize("modality, bad", [("visible", np.nan), ("infrared", np.inf)])
+def test_non_finite_pixels_rejected(val_batch, modality, bad):
+    model = ToyModel.create(ModelConfig(), 0)
+    pair = val_batch.pairs[0]
+    img = getattr(pair, modality).copy()
+    img[3, 5] = bad
+    broken = dataclasses.replace(pair, **{modality: img})
+    message = f"scene {pair.scene_id}: {modality} image has 1 non-finite"
+    with pytest.raises(ValueError, match=message):
+        fuse_scene(model, broken)
+    with pytest.raises(ValueError, match=message):
+        detect_scene(model, broken, 4, seed=0)
 
 
 @pytest.mark.slow

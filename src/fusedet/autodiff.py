@@ -387,42 +387,45 @@ def conv2d(x: Var, w: Var, b: Var | None = None, stride: int = 1) -> Var:
     return tape._record(out, backward, req)
 
 
-def _corr1(img: np.ndarray, vec: np.ndarray, axis: int) -> np.ndarray:
-    """1-D same-size correlation along one axis with zero padding."""
-    k = vec.size
-    p = k // 2
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (p, p)
-    xp = np.pad(img, pad)
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=axis)
+def _corr1(img: np.ndarray, vec: np.ndarray, axis: int, same: bool) -> np.ndarray:
+    """1-D correlation along one axis, zero-padded to keep its length when `same`."""
+    if same:
+        pad = [(0, 0)] * img.ndim
+        pad[axis] = (vec.size // 2, vec.size // 2)
+        img = np.pad(img, pad)
+    win = np.lib.stride_tricks.sliding_window_view(img, vec.size, axis=axis)
     return win @ vec
 
 
-_SEP_CACHE: dict[bytes, tuple[np.ndarray, np.ndarray] | None] = {}
+_SEP_CACHE: dict[bytes, list[tuple[np.ndarray, np.ndarray]]] = {}
 
 
-def _separate_kernel(kernel: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Rank-1 factor (col, row) of a separable kernel, else None."""
+def _kernel_terms(kernel: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Rank-one (col, row) factors whose outer products sum to the kernel (SVD)."""
     key = kernel.tobytes() + bytes(kernel.shape)
     if key not in _SEP_CACHE:
         u, s, vt = np.linalg.svd(kernel)
-        if s.size > 1 and s[1] > 1e-12 * s[0]:
-            _SEP_CACHE[key] = None
-        else:
-            r = np.sqrt(s[0])
-            _SEP_CACHE[key] = (u[:, 0] * r, vt[0] * r)
+        r = np.sqrt(s[:max(1, int(np.sum(s > 1e-12 * s[0])))])
+        _SEP_CACHE[key] = [(u[:, i] * r[i], vt[i] * r[i]) for i in range(r.size)]
     return _SEP_CACHE[key]
 
 
-def _corr2(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Same-size correlation of an HxW image with symmetric zero padding."""
-    sep = _separate_kernel(kernel)
-    if sep is not None:
-        col, row = sep
-        return _corr1(_corr1(img, row, axis=1), col, axis=0)
-    kh, kw = kernel.shape
-    cols, h_out, w_out = _im2col(img[None], kh, kw, 1)
-    return (kernel.reshape(1, -1) @ cols).reshape(h_out, w_out)
+def correlate(img: np.ndarray, kernel: np.ndarray | tuple[np.ndarray, np.ndarray], mode: str = "same") -> np.ndarray:
+    """2-D correlation over the last two axes of an image or a stack of images.
+
+    `kernel` is a 2-D array or the (col, row) vectors of a separable one.
+    ``same`` zero-pads kh//2, kw//2 on each side; ``valid`` keeps the windows
+    inside the image.  Each rank-one term of the kernel runs as two 1-D passes
+    (kh + kw multiplies per pixel for a Gaussian); each image of a stack gets
+    the bytes it would get alone.
+    """
+    if mode not in ("same", "valid"):
+        raise ValueError(f"correlate: mode must be 'same' or 'valid', got {mode!r}")
+    out = None
+    for col, row in [kernel] if isinstance(kernel, tuple) else _kernel_terms(kernel):
+        term = _corr1(_corr1(img, row, -1, mode == "same"), col, -2, mode == "same")
+        out = term if out is None else out + term
+    return out
 
 
 def blur(x: Var, kernel: np.ndarray) -> Var:
@@ -433,12 +436,12 @@ def blur(x: Var, kernel: np.ndarray) -> Var:
     kh, kw = kernel.shape
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"blur: kernel dims must be odd, got {kh}x{kw}")
-    out = _corr2(x.value, kernel)
+    out = correlate(x.value, kernel)
     flipped = np.ascontiguousarray(kernel[::-1, ::-1])
 
     def backward(g):
         # adjoint of same-zero-pad correlation is correlation with the flipped kernel
-        return [(x, _corr2(g, flipped))]
+        return [(x, correlate(g, flipped))]
 
     return x.tape._record(out, backward, x.requires_grad)
 

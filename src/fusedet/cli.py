@@ -19,6 +19,7 @@ import numpy as np
 from . import gmta, harness
 from . import metrics as met
 from . import synthdata as sd
+from .autodiff import ShapeError
 from .harness import RunConfig
 from .model import ToyModel
 
@@ -138,9 +139,12 @@ def _build_parser() -> _Parser:
 
 def _cmd_gen(args) -> int:
     cfg = _load_config(args)
-    seed = cfg.seed
+    try:
+        cfg.model_config().fusion.check_image_size("gen", args.height, args.width)
+    except ShapeError as e:
+        raise _UsageError(str(e)) from None
     ids = sd.generate_dataset(
-        cfg.dataset_root, args.split, args.scenes, seed, width=args.width, height=args.height
+        cfg.dataset_root, args.split, args.scenes, cfg.seed, width=args.width, height=args.height
     )
     print(f"wrote {len(ids)} scenes to {Path(cfg.dataset_root) / args.split}")
     return 0
@@ -198,35 +202,20 @@ def _cmd_eval(args) -> int:
     if not args.pred_dir and not args.fused_dir:
         raise _UsageError("eval needs --pred-dir and/or --fused-dir")
     batch = harness.SceneBatch.from_dir(cfg.dataset_root, args.split)
-    per_scene = []
-    preds, gts = [], []
-    for i, pair in enumerate(batch.pairs):
-        row: dict = {"scene-id": pair.scene_id}
-        if args.fused_dir:
-            fused = sd.read_image(Path(args.fused_dir) / f"{pair.scene_id}.fused.pgm")
-            rep = met.fusion_metrics(fused, pair.visible, pair.infrared)
-            row.update(rep.to_json())
-        if args.pred_dir:
+    fusions = detections = None
+    if args.fused_dir:
+        fusions = [
+            (sd.read_image(Path(args.fused_dir) / f"{p.scene_id}.fused.pgm"), p.visible, p.infrared)
+            for p in batch.pairs
+        ]
+    if args.pred_dir:
+        detections = []
+        for pair in batch.pairs:
             _, boxes, scores = sd.read_annotations(Path(args.pred_dir) / f"{pair.scene_id}.boxes.json")
-            if scores is None:
-                scores = np.ones(boxes.shape[0])
-            preds.append((boxes, scores))
-            gts.append(pair.boxes)
-            scene_eval = met.map_eval([(boxes, scores)], [pair.boxes])
-            row["map50"] = scene_eval.map50
-            row["map5095"] = scene_eval.map5095
-        per_scene.append(row)
-    aggregate: dict = {}
-    for key in ("en", "mi", "vif"):
-        vals = [r[key] for r in per_scene if key in r]
-        if vals:
-            aggregate[key] = float(np.mean(vals))
-    if preds:
-        corpus = met.map_eval(preds, gts)
-        aggregate["map50"] = corpus.map50
-        aggregate["map5095"] = corpus.map5095
-    json_path, csv_path = met.write_reports(cfg.out_dir, per_scene, aggregate)
-    print(json.dumps(aggregate, sort_keys=True))
+            detections.append(((boxes, np.ones(boxes.shape[0]) if scores is None else scores), pair.boxes))
+    report = met.score_split([p.scene_id for p in batch.pairs], fusions, detections)
+    json_path, csv_path = met.write_reports(cfg.out_dir, report["scenes"], report["aggregate"])
+    print(json.dumps(report["aggregate"], sort_keys=True))
     print(f"reports: {json_path} {csv_path}")
     return 0
 

@@ -46,6 +46,14 @@ class FusionNetConfig:
         """Image sides must divide by this for the deepest branch to upsample back."""
         return 2 ** max(max(self.branches) - 1, 0)
 
+    def check_image_size(self, op: str, h: int, w: int) -> None:
+        m = self.size_multiple
+        if h % m or w % m:
+            raise ad.ShapeError(
+                f"{op}: image size {h}x{w} is not a multiple of {m} on each side, "
+                f"which branches {list(self.branches)} need"
+            )
+
     def validate(self) -> None:
         if 0 not in self.branches:
             raise ValueError("branch set must include the pixel branch 0")
@@ -196,13 +204,7 @@ def fusion_forward(
 ) -> tuple[Var, list[Var]]:
     """Fused image and the shared feature pyramid (for the detection head)."""
     cfg.validate()
-    h, w = x.value.shape[-2:]
-    m = cfg.size_multiple
-    if h % m or w % m:
-        raise ad.ShapeError(
-            f"fusion_forward: image size {h}x{w} is not a multiple of {m} on each side, "
-            f"which branches {list(cfg.branches)} need"
-        )
+    cfg.check_image_size("fusion_forward", *x.value.shape[-2:])
     pyramid = backbone_forward(p, x, y, cfg)
     b0 = pixel_block(p, x, y)
     branch_outs = [

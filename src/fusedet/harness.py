@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from . import diffusion as dif
 from . import losses
 from . import metrics as met
@@ -258,35 +257,13 @@ def evaluate_split(
     model: ToyModel, batch: SceneBatch, sampling_steps: int, seed: int
 ) -> dict:
     """Fusion metrics per scene plus corpus-level detection mAP."""
-    per_scene = []
-    preds = []
-    gts = []
+    fusions, detections = [], []
     for i, pair in enumerate(batch.pairs):
-        fused = fuse_scene(model, pair)
-        rep = met.fusion_metrics(fused, pair.visible, pair.infrared)
-        boxes, scores = detect_scene(model, pair, sampling_steps, SplitMix64(seed).derive(0xE7A1, i).next_u64())
-        preds.append((boxes, scores))
-        gts.append(pair.boxes)
-        scene_eval = met.map_eval([(boxes, scores)], [pair.boxes])
-        per_scene.append(
-            {
-                "scene-id": pair.scene_id or f"scene-{i:04d}",
-                "en": rep.en,
-                "mi": rep.mi,
-                "vif": rep.vif,
-                "map50": scene_eval.map50,
-                "map5095": scene_eval.map5095,
-            }
-        )
-    corpus = met.map_eval(preds, gts)
-    aggregate = {
-        "en": float(np.mean([r["en"] for r in per_scene])),
-        "mi": float(np.mean([r["mi"] for r in per_scene])),
-        "vif": float(np.mean([r["vif"] for r in per_scene])),
-        "map50": corpus.map50,
-        "map5095": corpus.map5095,
-    }
-    return {"scenes": per_scene, "aggregate": aggregate}
+        fusions.append((fuse_scene(model, pair), pair.visible, pair.infrared))
+        seed_i = SplitMix64(seed).derive(0xE7A1, i).next_u64()
+        detections.append((detect_scene(model, pair, sampling_steps, seed_i), pair.boxes))
+    ids = [pair.scene_id or f"scene-{i:04d}" for i, pair in enumerate(batch.pairs)]
+    return met.score_split(ids, fusions, detections)
 
 
 def _arm_summary(config: RunConfig, train_batch: SceneBatch, eval_batch: SceneBatch) -> dict:

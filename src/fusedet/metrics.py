@@ -3,7 +3,10 @@ and single-class detection mAP over IoU thresholds 0.50:0.05:0.95.
 
 All image metrics quantize to 256 levels; MI is the textbook joint-histogram
 definition in bits.  VIF is the pixel-domain multi-scale formulation with
-four scales and a fixed sensor-noise variance.
+four scales and a fixed sensor-noise variance; each scale filters the stack
+(ref, dist, ref², dist², ref·dist) with a separable Gaussian window, in two
+1-D passes of `autodiff.correlate`.  mAP matching compares entries of one
+IoU matrix per scene (`iou_matrix`, the only IoU formula).
 """
 
 from __future__ import annotations
@@ -15,11 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import gaussian_kernel
+from .autodiff import correlate, gaussian_kernel
 
 VIF_SIGMA_NSQ = 2.0  # sensor-noise variance, 8-bit intensity units
 VIF_SCALES = 4
 _VIF_VAR_EPS = 1e-10
+# 1-D Gaussian factors, 17 to 3 taps: the 2-D window's marginal, closer to exact than its SVD factors
+_VIF_WINDOWS = [gaussian_kernel(n, n / 5.0).sum(axis=0) for n in (2 ** k + 1 for k in range(VIF_SCALES, 0, -1))]
 
 IOU_THRESHOLDS = tuple(np.round(np.arange(0.50, 0.96, 0.05), 2))
 _RECALL_POINTS = np.linspace(0.0, 1.0, 101)
@@ -86,37 +91,25 @@ def mutual_information(u: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     return _mi_pair(x, u) + _mi_pair(y, u)
 
 
-def _filter_valid(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    kh, kw = kernel.shape
-    h, w = img.shape
-    out = np.zeros((h - kh + 1, w - kw + 1))
-    for i in range(kh):
-        for j in range(kw):
-            out += kernel[i, j] * img[i:i + out.shape[0], j:j + out.shape[1]]
-    return out
-
-
 def _vif_single(ref: np.ndarray, dist: np.ndarray) -> float:
     """Pixel-domain VIF of one reference/distorted pair on 0-255 intensities."""
     ref = np.asarray(ref, dtype=np.float64) * 255.0
     dist = np.asarray(dist, dtype=np.float64) * 255.0
-    num = 0.0
-    den = 0.0
-    for scale in range(1, VIF_SCALES + 1):
-        size = 2 ** (VIF_SCALES - scale + 1) + 1
-        win = gaussian_kernel(size, size / 5.0)
+    num = den = 0.0
+    for scale, win in enumerate(_VIF_WINDOWS, start=1):
+        size = win.size
         if scale > 1:
-            ref = _filter_valid(ref, win)[::2, ::2]
-            dist = _filter_valid(dist, win)[::2, ::2]
+            ref, dist = correlate(np.stack([ref, dist]), (win, win), "valid")[:, ::2, ::2]
         if ref.shape[0] < size or ref.shape[1] < size:
             raise ValueError(
                 f"image too small for VIF scale {scale}: {ref.shape} vs {size}x{size} window"
             )
-        mu1 = _filter_valid(ref, win)
-        mu2 = _filter_valid(dist, win)
-        var1 = np.maximum(_filter_valid(ref * ref, win) - mu1 * mu1, 0.0)
-        var2 = np.maximum(_filter_valid(dist * dist, win) - mu2 * mu2, 0.0)
-        cov = _filter_valid(ref * dist, win) - mu1 * mu2
+        mu1, mu2, s11, s22, s12 = correlate(
+            np.stack([ref, dist, ref * ref, dist * dist, ref * dist]), (win, win), "valid"
+        )
+        var1 = np.maximum(s11 - mu1 * mu1, 0.0)
+        var2 = np.maximum(s22 - mu2 * mu2, 0.0)
+        cov = s12 - mu1 * mu2
         live = var1 > _VIF_VAR_EPS
         g = np.zeros_like(cov)
         g[live] = cov[live] / var1[live]
@@ -150,20 +143,25 @@ def fusion_metrics(u: np.ndarray, x: np.ndarray, y: np.ndarray) -> FusionMetrics
     )
 
 
-def _corners(box) -> tuple[float, float, float, float]:
-    cx, cy, w, h = box
+def _corners(boxes: np.ndarray) -> tuple[np.ndarray, ...]:
+    cx, cy, w, h = np.asarray(boxes, dtype=np.float64).reshape(-1, 4).T
     return cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise IoU of (n, 4) and (m, 4) arrays of (cx, cy, w, h) boxes, as (n, m)."""
+    ax0, ay0, ax1, ay1 = (v[:, None] for v in _corners(a))
+    bx0, by0, bx1, by1 = (v[None, :] for v in _corners(b))
+    iw = np.maximum(0.0, np.minimum(ax1, bx1) - np.maximum(ax0, bx0))
+    ih = np.maximum(0.0, np.minimum(ay1, by1) - np.maximum(ay0, by0))
+    inter = iw * ih
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
 
 
 def iou(a, b) -> float:
     """Intersection over union of two (cx, cy, w, h) boxes."""
-    ax0, ay0, ax1, ay1 = _corners(a)
-    bx0, by0, bx1, by1 = _corners(b)
-    iw = max(0.0, min(ax1, bx1) - max(ax0, bx0))
-    ih = max(0.0, min(ay1, by1) - max(ay0, by0))
-    inter = iw * ih
-    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
-    return inter / union if union > 0 else 0.0
+    return float(iou_matrix(a, b)[0, 0])
 
 
 def _validate_boxes(name: str, boxes: np.ndarray) -> np.ndarray:
@@ -182,9 +180,7 @@ def average_precision_101(tp_flags: np.ndarray, n_gt: int) -> float:
     recall = tp / n_gt
     precision = tp / np.maximum(tp + fp, 1)
     # precision envelope: best precision achievable at recall >= r
-    env = precision.copy()
-    for i in range(env.size - 2, -1, -1):
-        env[i] = max(env[i], env[i + 1])
+    env = np.maximum.accumulate(precision[::-1])[::-1]
     idx = np.searchsorted(recall, _RECALL_POINTS, side="left")
     interp = np.where(idx < env.size, env[np.minimum(idx, env.size - 1)], 0.0)
     return float(np.mean(interp))
@@ -210,24 +206,21 @@ def map_eval(
         if scores.size and (scores.min() < 0.0 or scores.max() > 1.0):
             raise ValueError(f"predictions[{scene}]: scores must lie in [0, 1]")
         pred_boxes.append(boxes)
-        for k in range(boxes.shape[0]):
-            flat.append((float(scores[k]), scene, k))
+        flat += [(float(s), scene, k) for k, s in enumerate(scores)]
     gts = [_validate_boxes(f"ground_truth[{i}]", g) for i, g in enumerate(ground_truth)]
     n_gt = sum(g.shape[0] for g in gts)
     flat.sort(key=lambda rec: (-rec[0], rec[1], rec[2]))
 
+    # one IoU matrix per scene; the matching below only compares its entries
+    ious = [iou_matrix(boxes, g).tolist() for boxes, g in zip(pred_boxes, gts)]
     ap = {}
     for thr in IOU_THRESHOLDS:
-        matched = [np.zeros(g.shape[0], dtype=bool) for g in gts]
+        matched = [[False] * g.shape[0] for g in gts]
         tp_flags = np.zeros(len(flat), dtype=bool)
         for rank, (_, scene, k) in enumerate(flat):
-            box = pred_boxes[scene][k]
             best_iou, best_j = 0.0, -1
-            for j in range(gts[scene].shape[0]):
-                if matched[scene][j]:
-                    continue
-                v = iou(box, gts[scene][j])
-                if v >= thr and v > best_iou:
+            for j, v in enumerate(ious[scene][k]):
+                if not matched[scene][j] and v >= thr and v > best_iou:
                     best_iou, best_j = v, j
             if best_j >= 0:
                 matched[scene][best_j] = True
@@ -236,6 +229,29 @@ def map_eval(
 
     values = [ap[float(t)] for t in IOU_THRESHOLDS]
     return DetectionEval(ap_per_threshold=ap, map50=ap[0.50], map5095=float(np.mean(values)))
+
+
+def score_split(
+    scene_ids: list[str],
+    fusions: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None,
+    detections: list[tuple[tuple[np.ndarray, np.ndarray], np.ndarray]] | None,
+) -> dict:
+    """Per-scene rows and the aggregate (mean EN, MI, VIF; corpus mAP) of a split.
+
+    `fusions[i]` is (fused, visible, infrared) of scene i and `detections[i]`
+    its ((boxes, scores), ground-truth boxes); either may be None.
+    """
+    rows = [{"scene-id": sid} for sid in scene_ids]
+    for row, (u, x, y) in zip(rows, fusions or []):
+        row.update(fusion_metrics(u, x, y).to_json())
+    for row, (pred, gt) in zip(rows, detections or []):
+        ev = map_eval([pred], [gt])
+        row.update({"map50": ev.map50, "map5095": ev.map5095})
+    aggregate = {k: float(np.mean([r[k] for r in rows])) for k in ("en", "mi", "vif") if fusions}
+    if detections:
+        corpus = map_eval([pred for pred, _ in detections], [gt for _, gt in detections])
+        aggregate.update({"map50": corpus.map50, "map5095": corpus.map5095})
+    return {"scenes": rows, "aggregate": aggregate}
 
 
 def write_reports(

@@ -13,6 +13,7 @@ import base64
 import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -65,6 +66,20 @@ def time_embedding(t: int, total: int, dim: int) -> np.ndarray:
     return np.concatenate([np.sin(angles), np.cos(angles)])
 
 
+def _init_values(cfg: ModelConfig, rng) -> dict[str, np.ndarray]:
+    """Fresh parameters of both heads, drawn from `rng.normals`."""
+    values = init_fusion_params(cfg.fusion, rng)
+    feat_dim = cfg.fusion.stage_channels[-1]
+    # local feature + (mass, row-centroid, col-centroid) scene summary + box + time
+    in_dim = 4 * feat_dim + 4 + cfg.time_embed_dim
+    gain = cfg.det_init_gain
+    values["det.l1.w"] = rng.normals((in_dim, cfg.mlp_hidden)) * gain * np.sqrt(2.0 / in_dim)
+    values["det.l1.b"] = np.zeros(cfg.mlp_hidden)
+    values["det.l2.w"] = rng.normals((cfg.mlp_hidden, 4)) * np.sqrt(1.0 / cfg.mlp_hidden)
+    values["det.l2.b"] = np.zeros(4)
+    return values
+
+
 class ToyModel:
     """Parameter store plus the forward passes of both heads."""
 
@@ -74,17 +89,7 @@ class ToyModel:
 
     @classmethod
     def create(cls, cfg: ModelConfig, seed: int) -> "ToyModel":
-        rng = SplitMix64(seed).derive(0xB00)
-        values = init_fusion_params(cfg.fusion, rng)
-        feat_dim = cfg.fusion.stage_channels[-1]
-        # local feature + (mass, row-centroid, col-centroid) scene summary + box + time
-        in_dim = 4 * feat_dim + 4 + cfg.time_embed_dim
-        gain = cfg.det_init_gain
-        values["det.l1.w"] = rng.normals((in_dim, cfg.mlp_hidden)) * gain * np.sqrt(2.0 / in_dim)
-        values["det.l1.b"] = np.zeros(cfg.mlp_hidden)
-        values["det.l2.w"] = rng.normals((cfg.mlp_hidden, 4)) * np.sqrt(1.0 / cfg.mlp_hidden)
-        values["det.l2.b"] = np.zeros(4)
-        return cls(cfg, values)
+        return cls(cfg, _init_values(cfg, SplitMix64(seed).derive(0xB00)))
 
     def place(self, tape: Tape) -> dict[str, Var]:
         return self.params.place(tape)
@@ -170,6 +175,15 @@ class ToyModel:
         for name, rec in payload["params"].items():
             arr = np.frombuffer(base64.b64decode(rec["data"]), dtype="<f8").reshape(rec["shape"])
             values[name] = arr.astype(np.float64)
+        # zeros in place of normals: the shapes without the cost of drawing them
+        want = {k: v.shape for k, v in _init_values(cfg, SimpleNamespace(normals=np.zeros)).items()}
+        got = {k: v.shape for k, v in values.items()}
+        for name in sorted(want.keys() | got.keys()):
+            if got.get(name) != want.get(name):
+                raise ValueError(
+                    f"model file parameter {name!r}: the file has {got.get(name, 'none')}, "
+                    f"its config creates {want.get(name, 'none')}"
+                )
         model = cls(cfg, values)
         if sorted(model.params.shared) != payload["shared"]:
             raise ValueError("model file shared-mask does not match its config")

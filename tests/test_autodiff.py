@@ -96,6 +96,35 @@ class TestForwardValues:
                 want[r, c] = np.sum(kernel * xp[r:r + 5, c:c + 5])
         np.testing.assert_allclose(got, want, atol=1e-12)
 
+    @pytest.mark.parametrize("k, h, w", [(3, 9, 7), (5, 64, 64), (11, 65, 63), (17, 128, 192)])
+    def test_correlate_stack_valid_and_same(self, k, h, w):
+        """A stack gets each slice's own bytes; `valid` is `same` without its padded rim."""
+        rng = np.random.default_rng(k)
+        stack = rng.normal(size=(5, h, w)) * 100.0
+        window = ad.gaussian_kernel(k, k / 5.0)
+        p = k // 2
+        for kernel in (window, (window.sum(axis=1), window.sum(axis=0))):
+            same = ad.correlate(stack, kernel)
+            valid = ad.correlate(stack, kernel, "valid")
+            for i in range(stack.shape[0]):
+                assert np.array_equal(same[i], ad.correlate(stack[i], kernel))
+                assert np.array_equal(valid[i], ad.correlate(stack[i], kernel, "valid"))
+            # BLAS rounds an output by its place in the row, so the crop is
+            # equal only to the last bit or so
+            np.testing.assert_allclose(valid, same[:, p:h - p, p:w - p], rtol=0, atol=1e-14 * np.abs(same).max())
+
+    def test_correlate_sums_rank_one_terms_of_a_general_kernel(self):
+        rng = np.random.default_rng(8)
+        img = rng.normal(size=(9, 12))
+        kernel = rng.normal(size=(3, 5))
+        want = np.zeros((7, 8))
+        for r in range(7):
+            for c in range(8):
+                want[r, c] = np.sum(kernel * img[r:r + 3, c:c + 5])
+        np.testing.assert_allclose(ad.correlate(img, kernel, "valid"), want, atol=1e-12)
+        with pytest.raises(ValueError, match="mode"):
+            ad.correlate(img, kernel, "full")
+
     def test_upsample_nearest(self):
         t = Tape()
         x = t.constant([[1.0, 2.0], [3.0, 4.0]])

@@ -58,6 +58,13 @@ class TestGen:
             "scene-0001.boxes.json", "scene-0001.ir.pgm", "scene-0001.vis.pgm",
         ]
 
+    @pytest.mark.parametrize("side", ["--width", "--height"])
+    def test_gen_rejects_size_the_model_cannot_fuse(self, tmp_path, capsys, side):
+        rc = main(["gen", "--scenes", "1", "--dataset-root", str(tmp_path), side, "65"])
+        assert rc == 1
+        assert "is not a multiple of 4 on each side" in capsys.readouterr().err
+        assert not (tmp_path / "train").exists()
+
 
 class TestGmtaDemo:
     def test_hand_matrix(self, capsys):

@@ -1,5 +1,7 @@
 """Fusion network structure: branch laws, degenerate cases, coupling, and FD checks."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -325,3 +327,23 @@ class TestModelIO:
         (tmp_path / "junk.json").write_text('{"format": "nope"}')
         with pytest.raises(ValueError, match="format"):
             ToyModel.load(tmp_path / "junk.json")
+
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda p: p["params"].pop("fuse.mix.w"),
+         r"'fuse.mix.w': the file has none, its config creates \(16, 16, 1, 1\)"),
+        (lambda p: p["params"].__setitem__("fuse.extra.b", p["params"]["det.l2.b"]),
+         r"'fuse.extra.b': the file has \(4,\), its config creates none"),
+        (lambda p: p["config"].__setitem__("mlp_hidden", 32),
+         r"'det.l1.b': the file has \(64,\), its config creates \(32,\)"),
+        (lambda p: p["params"]["det.l2.w"].__setitem__("shape", [4, 64]),
+         r"'det.l2.w': the file has \(4, 64\), its config creates \(64, 4\)"),
+    ])
+    def test_tampered_parameters_rejected(self, tmp_path, tamper, message):
+        """Names and shapes are checked against what the file's config creates."""
+        path = tmp_path / "model.json"
+        ToyModel.create(ModelConfig(), seed=2).save(path)
+        payload = json.loads(path.read_text())
+        tamper(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            ToyModel.load(path)

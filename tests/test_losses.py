@@ -204,6 +204,12 @@ class TestGradientLoss:
         oracle = _gradient_loss_oracle(u, x, y)
         assert val == pytest.approx(oracle, abs=1e-12)
 
+    @pytest.mark.parametrize("size", losses.GRAD_KERNEL_SIZES)
+    def test_highpass_is_image_minus_blur(self, size):
+        img = np.random.default_rng(size).uniform(size=(64, 48))
+        blurred = ad.blur(Tape().constant(img), ad.gaussian_kernel(size, (size - 1) / 4.0)).value
+        assert np.array_equal(losses.highpass(img, size), img - blurred)
+
     def test_impulse_images_match_direct_convolution_oracle(self):
         u = np.zeros((5, 5))
         u[2, 2] = 1.0

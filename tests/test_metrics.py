@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fusedet import metrics as met
+from fusedet import synthdata as sd
+from fusedet.autodiff import gaussian_kernel
 
 
 def _uniform_256() -> np.ndarray:
@@ -72,11 +75,61 @@ class TestMutualInformation:
             met.mutual_information(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((5, 5)))
 
 
+def _filter_valid_dense(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """VIF's former filter, a dense loop over the window's taps."""
+    kh, kw = kernel.shape
+    out = np.zeros((img.shape[0] - kh + 1, img.shape[1] - kw + 1))
+    for i in range(kh):
+        for j in range(kw):
+            out += kernel[i, j] * img[i:i + out.shape[0], j:j + out.shape[1]]
+    return out
+
+
+def _vif_single_dense(ref: np.ndarray, dist: np.ndarray) -> float:
+    """VIF as computed before the separable filter: one dense filter per image and statistic."""
+    ref, dist = ref * 255.0, dist * 255.0
+    num = den = 0.0
+    for scale in range(1, met.VIF_SCALES + 1):
+        size = 2 ** (met.VIF_SCALES - scale + 1) + 1
+        win = gaussian_kernel(size, size / 5.0)
+        if scale > 1:
+            ref = _filter_valid_dense(ref, win)[::2, ::2]
+            dist = _filter_valid_dense(dist, win)[::2, ::2]
+        mu1, mu2 = _filter_valid_dense(ref, win), _filter_valid_dense(dist, win)
+        var1 = np.maximum(_filter_valid_dense(ref * ref, win) - mu1 * mu1, 0.0)
+        var2 = np.maximum(_filter_valid_dense(dist * dist, win) - mu2 * mu2, 0.0)
+        cov = _filter_valid_dense(ref * dist, win) - mu1 * mu2
+        live = var1 > 1e-10
+        g = np.zeros_like(cov)
+        g[live] = cov[live] / var1[live]
+        var1 = np.where(live, var1, 0.0)
+        sv = var2 - g * cov
+        neg = g < 0
+        sv[neg], g[neg] = var2[neg], 0.0
+        dead2 = var2 <= 1e-10
+        g[dead2], sv[dead2] = 0.0, 0.0
+        sv = np.maximum(sv, 0.0)
+        num += float(np.sum(np.log2(1.0 + g * g * var1 / (sv + met.VIF_SIGMA_NSQ))))
+        den += float(np.sum(np.log2(1.0 + var1 / met.VIF_SIGMA_NSQ)))
+    return num / den
+
+
 class TestVif:
     def test_identity_is_exactly_two(self):
         rng = np.random.default_rng(4)
-        x = rng.uniform(size=(64, 64))
-        assert met.vif_fusion(x, x, x) == pytest.approx(2.0, abs=1e-9)
+        for shape in [(64, 64), (72, 72), (128, 192)]:
+            x = rng.uniform(size=shape)
+            assert met.vif_fusion(x, x, x) == 2.0
+
+    @pytest.mark.parametrize("h, w", [(64, 64), (72, 72), (128, 192)])
+    def test_separable_filter_matches_dense_window_loop(self, h, w):
+        scene = sd.generate_scene(sd.SceneSpec(seed=11, width=w, height=h))
+        rng = np.random.default_rng(h)
+        u = np.clip(0.6 * scene.visible + 0.4 * scene.infrared + rng.normal(0.0, 0.02, (h, w)), 0.0, 1.0)
+        got = met.vif_fusion(u, scene.visible, scene.infrared)
+        want = _vif_single_dense(scene.visible, u) + _vif_single_dense(scene.infrared, u)
+        assert 0.1 < want
+        assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_independent_noise_has_negligible_fidelity(self):
         rng = np.random.default_rng(5)
@@ -198,6 +251,100 @@ class TestMapEval:
         gt = [np.array([[0.5, 0.5, 0.2, 0.2]])]
         with pytest.raises(ValueError, match="scores"):
             met.map_eval([(gt[0].copy(), np.array([1.5]))], gt)
+
+
+def _iou_scalar(a, b) -> float:
+    """map_eval's former scalar IoU, one box pair at a time; the reference here."""
+    ax0, ay0, ax1, ay1 = a[0] - a[2] / 2.0, a[1] - a[3] / 2.0, a[0] + a[2] / 2.0, a[1] + a[3] / 2.0
+    bx0, by0, bx1, by1 = b[0] - b[2] / 2.0, b[1] - b[3] / 2.0, b[0] + b[2] / 2.0, b[1] + b[3] / 2.0
+    iw = max(0.0, min(ax1, bx1) - max(ax0, bx0))
+    ih = max(0.0, min(ay1, by1) - max(ay0, by0))
+    inter = iw * ih
+    union = (ax1 - ax0) * (ay1 - ay0) + (bx1 - bx0) * (by1 - by0) - inter
+    return inter / union if union > 0 else 0.0
+
+
+def _greedy_aps_scalar(predictions, ground_truth) -> dict[float, float]:
+    """Greedy score-descending matching that calls the scalar IoU per pair."""
+    flat = sorted(
+        ((float(s), i, k) for i, (_, scores) in enumerate(predictions) for k, s in enumerate(scores)),
+        key=lambda rec: (-rec[0], rec[1], rec[2]),
+    )
+    n_gt = sum(len(g) for g in ground_truth)
+    aps = {}
+    for thr in met.IOU_THRESHOLDS:
+        matched = [[False] * len(g) for g in ground_truth]
+        tp_flags = np.zeros(len(flat), dtype=bool)
+        for rank, (_, i, k) in enumerate(flat):
+            best_iou, best_j = 0.0, -1
+            for j, g in enumerate(ground_truth[i]):
+                v = _iou_scalar(predictions[i][0][k], g)
+                if not matched[i][j] and v >= thr and v > best_iou:
+                    best_iou, best_j = v, j
+            if best_j >= 0:
+                matched[i][best_j] = True
+                tp_flags[rank] = True
+        aps[float(thr)] = met.average_precision_101(tp_flags, n_gt)
+    return aps
+
+
+def _on_threshold_pair(cx: float, cy: float, k: int) -> tuple[list[float], list[float]]:
+    """A ground-truth box and a same-size box shifted so their IoU is exactly k/20.
+
+    Widths (20 + k)/256 and shifts (20 - k)/256 keep every step exact, so the
+    IoU rounds to the same double as the threshold k/20.
+    """
+    w, d, h = (20 + k) / 256.0, (20 - k) / 256.0, 0.125
+    return [cx, cy, w, h], [cx + d, cy, w, h]
+
+
+_SIXTY_FOURTHS = st.integers(8, 56).map(lambda i: i / 64.0)
+
+
+@st.composite
+def _detection_corpus(draw):
+    predictions, ground_truth = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        gts, boxes = [], []
+        for _ in range(draw(st.integers(0, 3))):
+            k = draw(st.integers(10, 19))
+            gt, pred = _on_threshold_pair(draw(_SIXTY_FOURTHS), draw(_SIXTY_FOURTHS), k)
+            gts.append(gt)
+            boxes += [pred] * draw(st.integers(0, 2))  # 2: a duplicate
+        for _ in range(draw(st.integers(0, 4))):  # loose boxes, dyadic or not
+            side = st.one_of(_SIXTY_FOURTHS.map(lambda v: v / 2.0), st.floats(0.01, 0.5))
+            boxes.append([draw(_SIXTY_FOURTHS), draw(_SIXTY_FOURTHS), draw(side), draw(side)])
+        scores = [draw(st.sampled_from([0.25, 0.5, 0.75, 1.0])) for _ in boxes]  # ties
+        predictions.append((np.array(boxes).reshape(-1, 4), np.array(scores)))
+        ground_truth.append(np.array(gts).reshape(-1, 4))
+    return predictions, ground_truth
+
+
+class TestMapEvalMatchesScalarReference:
+    @pytest.mark.parametrize("k", range(10, 20))
+    def test_on_threshold_pairs_hit_the_threshold_exactly(self, k):
+        gt, pred = _on_threshold_pair(0.5, 0.5, k)
+        assert _iou_scalar(pred, gt) == met.IOU_THRESHOLDS[k - 10]
+        assert met.iou(pred, gt) == met.IOU_THRESHOLDS[k - 10]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_detection_corpus())
+    @example(([(np.array([[0.53125, 0.5, 0.125, 0.125]] * 2), np.array([0.5, 0.5]))],
+              [np.array([[0.5, 0.5, 0.125, 0.125]] * 2)]))  # IoU 0.6 exactly, tied scores
+    @example(([(np.array([[0.53125, 0.5, 0.125, 0.125], [0.5625, 0.5, 0.125, 0.125]]), np.array([0.75, 0.5]))],
+              [np.array([[0.5, 0.5, 0.125, 0.125], [0.5625, 0.5, 0.125, 0.125]])]))  # IoU ties across boxes
+    def test_equals_greedy_scalar_matching(self, corpus):
+        predictions, ground_truth = corpus
+        for (boxes, _), gts in zip(predictions, ground_truth):
+            matrix = met.iou_matrix(boxes, gts)
+            for i, box in enumerate(boxes):
+                for j, gt in enumerate(gts):
+                    assert matrix[i, j] == _iou_scalar(box, gt)
+        ev = met.map_eval(predictions, ground_truth)
+        want = _greedy_aps_scalar(predictions, ground_truth)
+        assert ev.ap_per_threshold == want
+        assert ev.map50 == want[0.5]
+        assert ev.map5095 == float(np.mean(list(want.values())))
 
 
 class TestReports:

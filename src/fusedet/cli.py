@@ -46,32 +46,23 @@ def _load_config(args) -> RunConfig:
     overrides = {}
     for name in (
         "seed", "iterations", "learning_rate", "gmta_period", "diffusion_steps",
-        "boxes_per_scene", "sampling_steps", "dataset_root", "out_dir",
+        "boxes_per_scene", "sampling_steps", "dataset_root", "out_dir", "gmta",
     ):
         val = getattr(args, name, None)
         if val is not None:
             overrides[name] = val
-    if getattr(args, "gmta", None) is not None:
-        overrides["gmta"] = args.gmta
     if getattr(args, "branches", None) is not None:
-        overrides["branches"] = list(_parse_branches(args.branches))
+        overrides["branches"] = _parse_ints(args.branches, "branch")
     if overrides:
         cfg = RunConfig.from_json({**cfg.to_json(), **overrides})
     return cfg
 
 
-def _parse_branches(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok != "")
-    except ValueError:
-        raise _UsageError(f"bad branch list {text!r}; expected comma-separated integers") from None
-
-
-def _parse_seeds(text: str) -> list[int]:
+def _parse_ints(text: str, what: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",") if tok != ""]
     except ValueError:
-        raise _UsageError(f"bad seed list {text!r}; expected comma-separated integers") from None
+        raise _UsageError(f"bad {what} list {text!r}; expected comma-separated integers") from None
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -235,7 +226,7 @@ def _cmd_gmta_demo(args) -> int:
 
 def _cmd_exp_gmta(args) -> int:
     cfg = _load_config(args)
-    report = harness.experiment_gmta(cfg, _parse_seeds(args.seeds))
+    report = harness.experiment_gmta(cfg, _parse_ints(args.seeds, "seed"))
     json_path, csv_path = harness.write_experiment_report(cfg.out_dir, "exp_gmta", report)
     means = {name: arm["mean"] for name, arm in report["arms"].items()}
     print(json.dumps(means, sort_keys=True))
@@ -245,8 +236,8 @@ def _cmd_exp_gmta(args) -> int:
 
 def _cmd_exp_branches(args) -> int:
     cfg = _load_config(args)
-    branch_sets = [_parse_branches(part) for part in args.branch_sets.split(";") if part]
-    report = harness.experiment_branches(cfg, branch_sets, _parse_seeds(args.seeds))
+    branch_sets = [tuple(_parse_ints(part, "branch")) for part in args.branch_sets.split(";") if part]
+    report = harness.experiment_branches(cfg, branch_sets, _parse_ints(args.seeds, "seed"))
     json_path, csv_path = harness.write_experiment_report(cfg.out_dir, "exp_branches", report)
     print(f"reports: {json_path} {csv_path}")
     return 0

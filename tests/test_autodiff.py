@@ -81,6 +81,49 @@ class TestForwardValues:
             got = ad.conv2d(t.constant(x), t.constant(w), stride=stride).value
             np.testing.assert_allclose(got, conv_oracle(x, w, stride), atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "shape, k, stride",
+        [((3, 5, 6), 3, 1), ((3, 5, 6), 3, 2), ((2, 9, 7), 5, 2), ((1, 2, 2), 5, 1), ((1, 3, 3), 7, 2),
+         ((1, 3, 3), 9, 1), ((2, 3, 5), 9, 2)],  # kernels wider than the image: taps that land nowhere
+    )
+    def test_im2col_col2im_match_padded_copy(self, shape, k, stride):
+        """Byte for byte: the windows of a zero-padded copy, and the tap-order scatter back onto it."""
+        rng = np.random.default_rng(sum(shape) + k)
+        x = rng.normal(size=shape)
+        c, h, w = shape
+        p = k // 2
+        xp = np.zeros((c, h + 2 * p, w + 2 * p))
+        xp[:, p:p + h, p:p + w] = x
+        win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))[:, ::stride, ::stride]
+        ho, wo = win.shape[1:3]
+        cols, h_out, w_out = ad._im2col(x, k, k, stride)
+        assert (h_out, w_out) == (ho, wo)
+        assert cols.tobytes() == win.transpose(0, 3, 4, 1, 2).reshape(c * k * k, ho * wo).tobytes()
+        gcols = rng.normal(size=cols.shape)
+        gcols[rng.random(gcols.shape) < 0.3] = -0.0  # signed zeros expose a change of summation order
+        g5 = gcols.reshape(c, k, k, ho, wo)
+        gxp = np.zeros_like(xp)
+        for i in range(k):
+            for j in range(k):
+                gxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += g5[:, i, j]
+        want = np.ascontiguousarray(gxp[:, p:p + h, p:p + w])
+        assert ad._col2im(gcols, shape, k, k, stride, ho, wo).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv2d_one_output_channel_input_gradient_bytes(self, stride):
+        """The broadcast product taken for one output channel gives the bytes of the BLAS product."""
+        rng = np.random.default_rng(40 + stride)
+        t = Tape()
+        x = t.leaf(rng.normal(size=(3, 9, 8)), requires_grad=True)
+        w = rng.normal(size=(1, 3, 3, 3))
+        out = ad.conv2d(x, t.constant(w), stride=stride)
+        g = rng.normal(size=out.value.shape)
+        g[rng.random(g.shape) < 0.3] = -0.0
+        (gx,) = ad.gradients(ad.tsum(out * g), [x])
+        _, ho, wo = out.value.shape
+        want = ad._col2im(w.reshape(1, -1).T @ g.reshape(1, -1), (3, 9, 8), 3, 3, stride, ho, wo)
+        assert gx.tobytes() == want.tobytes()
+
     def test_blur_matches_dense_window_sum(self):
         rng = np.random.default_rng(5)
         img = rng.normal(size=(9, 7))
@@ -132,6 +175,19 @@ class TestForwardValues:
         assert out.shape == (4, 4)
         np.testing.assert_array_equal(out[:2, :2], np.ones((2, 2)))
         np.testing.assert_array_equal(out[2:, 2:], np.full((2, 2), 4.0))
+
+    @pytest.mark.parametrize("shape, factor", [((3, 5), 2), ((4, 6, 5), 2), ((2, 4, 3), 3), ((16, 8, 8), 4), ((1, 2, 3), 7)])
+    def test_upsample_backward_bytes_of_numpy_block_sum(self, shape, factor):
+        rng = np.random.default_rng(factor + len(shape))
+        t = Tape()
+        x = t.leaf(rng.normal(size=shape), requires_grad=True)
+        up = ad.upsample_nearest(x, factor)
+        g = rng.normal(size=up.value.shape)
+        g[rng.random(g.shape) < 0.3] = -0.0  # signed zeros expose a change of summation order
+        (gx,) = ad.gradients(ad.tsum(up * g), [x])
+        *lead, h, w = shape
+        want = g.reshape(*lead, h, factor, w, factor).sum(axis=(-3, -1))
+        assert gx.tobytes() == want.tobytes()
 
     def test_division_by_zero_raises(self):
         t = Tape()

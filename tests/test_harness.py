@@ -29,6 +29,12 @@ def _cfg(root, **kw) -> RunConfig:
     return RunConfig(**base)
 
 
+@pytest.fixture(scope="module")
+def run_500(tiny_dataset, train_batch):
+    """(model, log) of one 500-step run, shared by the tests that only read it."""
+    return train(_cfg(tiny_dataset, iterations=500), train_batch)
+
+
 class TestRunConfig:
     def test_json_round_trip(self, tiny_dataset):
         cfg = _cfg(tiny_dataset, branches=(0, 1), eta=(1.0, 5.0, 0.5))
@@ -89,8 +95,8 @@ class TestTrain:
         )
 
     @pytest.mark.slow
-    def test_500_iteration_run_halves_both_losses(self, tiny_dataset, train_batch):
-        _, log = train(_cfg(tiny_dataset, iterations=500), train_batch)
+    def test_500_iteration_run_halves_both_losses(self, run_500):
+        _, log = run_500
         first_u = log.mean_loss("loss_u", 0, 20)
         last_u = log.mean_loss("loss_u", -20)
         first_d = log.mean_loss("loss_d", 0, 20)
@@ -196,9 +202,9 @@ def test_trained_detection_mean_iou_on_train_scenes(tmp_path):
 
 
 @pytest.mark.slow
-def test_trained_fusion_entropy_on_held_out_scene(tiny_dataset, train_batch, val_batch):
+def test_trained_fusion_entropy_on_held_out_scene(run_500, val_batch):
     """EN(u) stays within 0.5 bits of the weaker source on held-out scenes."""
-    model, _ = train(_cfg(tiny_dataset, iterations=500), train_batch)
+    model, _ = run_500
     for pair in val_batch.pairs:
         u = fuse_scene(model, pair)
         bound = min(met.entropy_en(pair.visible), met.entropy_en(pair.infrared)) - 0.5

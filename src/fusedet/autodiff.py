@@ -243,21 +243,6 @@ def sigmoid(x: Var) -> Var:
     return x.tape._record(out, backward, x.requires_grad)
 
 
-def maximum(a, b) -> Var:
-    """Elementwise max; gradient routes to the larger input, ties to the first."""
-    tape = _find_tape(a, b)
-    a, b = _lift(tape, a), _lift(tape, b)
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"maximum: incompatible shapes {_shp(a.value)} and {_shp(b.value)}")
-    take_a = a.value >= b.value
-    out = np.where(take_a, a.value, b.value)
-
-    def backward(g):
-        return [(a, g * take_a), (b, g * ~take_a)]
-
-    return tape._record(out, backward, a.requires_grad or b.requires_grad)
-
-
 def tsum(x: Var, axis=None) -> Var:
     out = np.sum(x.value, axis=axis)
     shape = x.value.shape
@@ -302,17 +287,6 @@ def square(x: Var) -> Var:
 
     def backward(g):
         return [(x, 2.0 * g * x.value)]
-
-    return x.tape._record(out, backward, x.requires_grad)
-
-
-def sqrt(x: Var) -> Var:
-    if np.any(x.value < 0.0):
-        raise ValueError("sqrt: negative input")
-    out = np.sqrt(x.value)
-
-    def backward(g):
-        return [(x, g / (2.0 * out))]
 
     return x.tape._record(out, backward, x.requires_grad)
 

@@ -151,12 +151,8 @@ def _cmd_train(args) -> int:
     # invocation paths stay out of the artifact so reruns are byte-comparable
     saved = {k: v for k, v in cfg.to_json().items() if k not in ("dataset_root", "out_dir")}
     (out / "run_config.json").write_text(json.dumps(saved, sort_keys=True, indent=1) + "\n")
-    tail = max(1, min(20, len(log.records)))
-    print(
-        f"trained {cfg.iterations} iterations; "
-        f"final loss_u={log.mean_loss('loss_u', first=-tail):.6f} "
-        f"loss_d={log.mean_loss('loss_d', first=-tail):.6f}"
-    )
+    final_u, final_d = log.final_losses()
+    print(f"trained {cfg.iterations} iterations; final loss_u={final_u:.6f} loss_d={final_d:.6f}")
     return 0
 
 
@@ -179,10 +175,8 @@ def _cmd_detect(args) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     batch = harness.SceneBatch.from_dir(cfg.dataset_root, args.split)
-    for i, pair in enumerate(batch.pairs):
-        boxes, scores = harness.detect_scene(
-            model, pair, cfg.sampling_steps, harness.SplitMix64(cfg.seed).derive(0xE7A1, i).next_u64()
-        )
+    preds = harness.detect_split(model, batch, cfg.sampling_steps, cfg.seed)
+    for pair, (boxes, scores) in zip(batch.pairs, preds):
         sd.write_annotations(out / f"{pair.scene_id}.boxes.json", pair.scene_id, boxes, scores)
     print(f"wrote predictions for {len(batch.pairs)} scenes to {out}")
     return 0

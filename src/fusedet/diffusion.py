@@ -40,19 +40,14 @@ class DiffusionSchedule:
         return float(self.alpha_bar[t - 1])
 
 
-def build_schedule(steps: int, kind: str = "cosine") -> DiffusionSchedule:
-    """Noise variance schedule; cosine is the default, linear is kept for comparison."""
+def build_schedule(steps: int) -> DiffusionSchedule:
+    """Cosine noise variance schedule."""
     if steps < 1:
         raise ValueError(f"schedule needs at least 1 step, got {steps}")
-    if kind == "cosine":
-        t = np.arange(steps + 1, dtype=np.float64) / steps
-        f = np.cos((t + COSINE_S) / (1.0 + COSINE_S) * np.pi / 2.0) ** 2
-        abar_raw = f / f[0]
-        beta = np.clip(1.0 - abar_raw[1:] / abar_raw[:-1], 0.0, BETA_MAX)
-    elif kind == "linear":
-        beta = np.linspace(1e-4, 0.02, steps)
-    else:
-        raise ValueError(f"unknown schedule kind {kind!r}")
+    t = np.arange(steps + 1, dtype=np.float64) / steps
+    f = np.cos((t + COSINE_S) / (1.0 + COSINE_S) * np.pi / 2.0) ** 2
+    abar_raw = f / f[0]
+    beta = np.clip(1.0 - abar_raw[1:] / abar_raw[:-1], 0.0, BETA_MAX)
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)
     return DiffusionSchedule(steps, beta, alpha, alpha_bar)

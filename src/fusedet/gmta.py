@@ -14,7 +14,8 @@ so the tests can treat them as independent oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -192,8 +193,11 @@ def combine(g_hat: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 @dataclass
 class StepReport:
-    """What one joint update did to the shared parameters."""
+    """One training step: both task losses and what the update did to the shared parameters."""
 
+    step: int
+    loss_u: float
+    loss_d: float
     aligned: bool
     rank: int
     kappa_before: float
@@ -202,6 +206,13 @@ class StepReport:
     grad_norm_u: float
     grad_norm_d: float
     column_norms_after: list[float] = field(default_factory=list)
+
+    def to_json(self) -> dict:
+        d = asdict(self)
+        for key in ("kappa_before", "kappa_after"):
+            if math.isinf(d[key]):
+                d[key] = "inf"
+        return d
 
 
 def gmta_step(
@@ -230,16 +241,17 @@ def gmta_step(
     norm_u = float(np.linalg.norm(gu))
     norm_d = float(np.linalg.norm(gd))
     g = build_gradient_matrix(gu, gd)
+    step_losses = (step, loss_u.item(), loss_d.item())
     do_align = align_enabled and period >= 1 and (step % period == 0)
     if not np.any(g):
         # no shared signal this step: skip the shared update, still move privates
-        report = StepReport(False, 0, float("inf"), float("inf"), [0.0, 0.0], norm_u, norm_d)
+        report = StepReport(*step_losses, False, 0, float("inf"), float("inf"), [0.0, 0.0], norm_u, norm_d)
         g_comb = None
     elif do_align:
         g_hat, rep = align(g)
         g_comb = combine(g_hat, np.asarray(w))
         report = StepReport(
-            True, rep.rank, rep.kappa_before, rep.kappa_after, rep.singular_values,
+            *step_losses, True, rep.rank, rep.kappa_before, rep.kappa_after, rep.singular_values,
             norm_u, norm_d,
             column_norms_after=[float(np.sqrt(g_hat[:, k] @ g_hat[:, k])) for k in range(g_hat.shape[1])],
         )
@@ -248,7 +260,7 @@ def gmta_step(
         kappa = float("inf") if sigma[-1] <= RANK_TOL * sigma[0] else float(sigma[0] / sigma[-1])
         rank = int(np.sum(sigma > RANK_TOL * sigma[0]))
         g_comb = combine(g, np.asarray(w))
-        report = StepReport(False, rank, kappa, kappa, [float(s) for s in sigma], norm_u, norm_d)
+        report = StepReport(*step_losses, False, rank, kappa, kappa, [float(s) for s in sigma], norm_u, norm_d)
     if g_comb is not None and shared:
         shapes = params.shapes()
         updates = ad.unflatten(g_comb, shapes, shared)

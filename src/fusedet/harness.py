@@ -22,7 +22,7 @@ from . import losses
 from . import metrics as met
 from . import synthdata as sd
 from .autodiff import Tape
-from .gmta import gmta_step
+from .gmta import StepReport, gmta_step
 from .model import ModelConfig, ToyModel
 from .fusion_net import FusionNetConfig
 from .rng import SplitMix64
@@ -75,32 +75,10 @@ class RunConfig:
 
 
 @dataclass
-class StepRecord:
-    step: int
-    loss_u: float
-    loss_d: float
-    kappa_before: float
-    kappa_after: float
-    singular_values: list[float]
-    grad_norm_u: float
-    grad_norm_d: float
-    rank: int
-    aligned: bool
-    column_norms_after: list[float] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        d = asdict(self)
-        for key in ("kappa_before", "kappa_after"):
-            if math.isinf(d[key]):
-                d[key] = "inf"
-        return d
-
-
-@dataclass
 class TrainLog:
-    records: list[StepRecord] = field(default_factory=list)
+    records: list[StepReport] = field(default_factory=list)
 
-    def append(self, rec: StepRecord) -> None:
+    def append(self, rec: StepReport) -> None:
         self.records.append(rec)
 
     def to_jsonl(self, path: str | Path) -> None:
@@ -111,6 +89,11 @@ class TrainLog:
     def mean_loss(self, which: str, first: int = 0, last: int | None = None) -> float:
         span = self.records[first:last]
         return float(np.mean([getattr(r, which) for r in span])) if span else float("nan")
+
+    def final_losses(self) -> tuple[float, float]:
+        """Mean loss_u and loss_d over the last 20 steps (all of them in a shorter run)."""
+        tail = max(1, min(20, len(self.records)))
+        return self.mean_loss("loss_u", first=-tail), self.mean_loss("loss_d", first=-tail)
 
 
 class SceneBatch:
@@ -153,12 +136,7 @@ def joint_losses(
     x = tape.constant(pair.visible[None])
     y = tape.constant(pair.infrared[None])
     u, pyramid = model.forward_fusion(pvars, x, y)
-    sal = consts["saliency"]
-    loss_u = (
-        losses.ssim_loss(u, pair.visible, pair.infrared) * weights.eta1
-        + losses.pixel_loss(u, pair.visible, pair.infrared, consts["mask"], sal) * weights.eta2
-        + losses.gradient_loss(u, pair.visible, pair.infrared) * weights.eta3
-    )
+    loss_u = losses.fusion_loss(u, pair.visible, pair.infrared, consts["mask"], weights, consts["saliency"])
     z0 = dif.pad_boxes(pair.boxes, n_boxes, rng)
     t = rng.randint(1, schedule.steps)
     eps = rng.normals((n_boxes, 4))
@@ -197,21 +175,7 @@ def train(config: RunConfig, batch: SceneBatch | None = None) -> tuple[ToyModel,
         )
         # the losses reach this step's whole graph; free it before the next forward
         del loss_u, loss_d
-        log.append(
-            StepRecord(
-                step=step,
-                loss_u=lu,
-                loss_d=ld,
-                kappa_before=rep.kappa_before,
-                kappa_after=rep.kappa_after,
-                singular_values=rep.singular_values,
-                grad_norm_u=rep.grad_norm_u,
-                grad_norm_d=rep.grad_norm_d,
-                rank=rep.rank,
-                aligned=rep.aligned,
-                column_norms_after=rep.column_norms_after,
-            )
-        )
+        log.append(rep)
     return model, log
 
 
@@ -253,27 +217,35 @@ def detect_scene(
     return boxes, scores
 
 
+def detect_split(
+    model: ToyModel, batch: SceneBatch, steps: int, seed: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(boxes, scores) of every scene; scene i samples with the i-th seed derived from `seed`."""
+    return [
+        detect_scene(model, pair, steps, SplitMix64(seed).derive(0xE7A1, i).next_u64())
+        for i, pair in enumerate(batch.pairs)
+    ]
+
+
 def evaluate_split(
     model: ToyModel, batch: SceneBatch, sampling_steps: int, seed: int
 ) -> dict:
     """Fusion metrics per scene plus corpus-level detection mAP."""
-    fusions, detections = [], []
-    for i, pair in enumerate(batch.pairs):
-        fusions.append((fuse_scene(model, pair), pair.visible, pair.infrared))
-        seed_i = SplitMix64(seed).derive(0xE7A1, i).next_u64()
-        detections.append((detect_scene(model, pair, sampling_steps, seed_i), pair.boxes))
+    fusions = [(fuse_scene(model, pair), pair.visible, pair.infrared) for pair in batch.pairs]
+    preds = detect_split(model, batch, sampling_steps, seed)
+    detections = [(pred, pair.boxes) for pred, pair in zip(preds, batch.pairs)]
     ids = [pair.scene_id or f"scene-{i:04d}" for i, pair in enumerate(batch.pairs)]
     return met.score_split(ids, fusions, detections)
 
 
 def _arm_summary(config: RunConfig, train_batch: SceneBatch, eval_batch: SceneBatch) -> dict:
     model, log = train(config, train_batch)
-    tail = max(1, min(20, len(log.records)))
+    final_u, final_d = log.final_losses()
     ev = evaluate_split(model, eval_batch, config.sampling_steps, config.seed)
     return {
         "seed": config.seed,
-        "final_loss_u": log.mean_loss("loss_u", first=-tail),
-        "final_loss_d": log.mean_loss("loss_d", first=-tail),
+        "final_loss_u": final_u,
+        "final_loss_d": final_d,
         **ev["aggregate"],
     }
 

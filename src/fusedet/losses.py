@@ -90,7 +90,8 @@ def ssim_loss(u, x, y) -> Var:
 def saliency_map(img: np.ndarray) -> np.ndarray:
     """Histogram-distance saliency: S(k) = sum_i p(i) * |q(k) - i| over 256 levels."""
     img = to_luminance(img)
-    q = np.clip(np.rint(img * 255.0), 0, 255).astype(np.intp)
+    # nan_to_num: a non-finite pixel gets a level here and still makes the loss non-finite
+    q = np.clip(np.rint(np.nan_to_num(img * 255.0)), 0, 255).astype(np.intp)
     hist = np.bincount(q.reshape(-1), minlength=256).astype(np.float64)
     hist /= hist.sum()
     levels = np.arange(256, dtype=np.float64)
@@ -175,18 +176,20 @@ def gradient_loss(u, x, y) -> Var:
     return total
 
 
-def fusion_loss(u, x, y, mask: np.ndarray, weights: LossWeights = LossWeights()) -> Var:
-    """Weighted sum of the three fusion terms, differentiable through the tape."""
+def fusion_loss(
+    u, x, y, mask: np.ndarray, weights: LossWeights = LossWeights(),
+    saliency: tuple[np.ndarray, np.ndarray] | None = None,
+) -> Var:
+    """Weighted sum of the three fusion terms, differentiable through the tape.
+
+    `saliency` is `saliency_weights(x, y)`, computed here when not given.
+    """
     u = _as_var(u)
-    sal = saliency_weights(
-        np.asarray(x.value if isinstance(x, Var) else x),
-        np.asarray(y.value if isinstance(y, Var) else y),
-    )
     total = None
     if weights.eta1 > 0:
         total = ssim_loss(u, x, y) * weights.eta1
     if weights.eta2 > 0:
-        term = pixel_loss(u, x, y, mask, sal) * weights.eta2
+        term = pixel_loss(u, x, y, mask, saliency) * weights.eta2
         total = term if total is None else total + term
     if weights.eta3 > 0:
         term = gradient_loss(u, x, y) * weights.eta3

@@ -166,6 +166,8 @@ def iou(a, b) -> float:
 
 def _validate_boxes(name: str, boxes: np.ndarray) -> np.ndarray:
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    if not np.all(np.isfinite(boxes)):
+        raise ValueError(f"{name}: non-finite box coordinate")
     if boxes.size and np.any(boxes[:, 2:4] <= 0):
         raise ValueError(f"{name}: degenerate box with nonpositive width or height")
     return boxes
@@ -203,8 +205,8 @@ def map_eval(
         scores = np.asarray(scores, dtype=np.float64).reshape(-1)
         if scores.size != boxes.shape[0]:
             raise ValueError(f"predictions[{scene}]: {boxes.shape[0]} boxes but {scores.size} scores")
-        if scores.size and (scores.min() < 0.0 or scores.max() > 1.0):
-            raise ValueError(f"predictions[{scene}]: scores must lie in [0, 1]")
+        if not np.all((scores >= 0.0) & (scores <= 1.0)):  # NaN fails both comparisons
+            raise ValueError(f"predictions[{scene}]: scores must be finite and lie in [0, 1]")
         pred_boxes.append(boxes)
         flat += [(float(s), scene, k) for k, s in enumerate(scores)]
     gts = [_validate_boxes(f"ground_truth[{i}]", g) for i, g in enumerate(ground_truth)]
@@ -245,7 +247,10 @@ def score_split(
     for row, (u, x, y) in zip(rows, fusions or []):
         row.update(fusion_metrics(u, x, y).to_json())
     for row, (pred, gt) in zip(rows, detections or []):
-        ev = map_eval([pred], [gt])
+        try:
+            ev = map_eval([pred], [gt])
+        except ValueError as e:
+            raise ValueError(f"scene {row['scene-id']}: {e}") from None
         row.update({"map50": ev.map50, "map5095": ev.map5095})
     aggregate = {k: float(np.mean([r[k] for r in rows])) for k in ("en", "mi", "vif") if fusions}
     if detections:

@@ -100,6 +100,24 @@ class TestEval:
         assert (tmp_path / "out" / "metrics.json").exists()
         assert (tmp_path / "out" / "metrics.csv").exists()
 
+    def test_nan_score_in_prediction_file_names_the_scene(self, tmp_path, tiny_dataset, capsys):
+        """Python's json reads NaN, so a prediction file can carry one into map_eval."""
+        pred_dir = tmp_path / "preds"
+        pred_dir.mkdir()
+        sids = sd.list_scene_ids(tiny_dataset, "val")
+        for sid in sids:
+            pair = sd.load_scene(tiny_dataset, "val", sid)
+            scores = np.ones(len(pair.boxes))
+            if sid == sids[1]:
+                scores[0] = np.nan
+            sd.write_annotations(pred_dir / f"{sid}.boxes.json", sid, pair.boxes, scores=scores)
+        rc = main([
+            "eval", "--dataset-root", str(tiny_dataset), "--split", "val",
+            "--pred-dir", str(pred_dir), "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert f"scene {sids[1]}: predictions[0]: scores must be finite" in capsys.readouterr().err
+
 
 @pytest.mark.slow
 class TestPipeline:

@@ -27,14 +27,6 @@ class TestSchedule:
         with pytest.raises(ValueError):
             dif.build_schedule(0)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown schedule"):
-            dif.build_schedule(10, kind="fancy")
-
-    def test_linear_kind_supported(self):
-        s = dif.build_schedule(50, kind="linear")
-        assert np.all(np.diff(s.alpha_bar) < 0)
-
 
 class TestScaling:
     def test_round_trip_exact(self):

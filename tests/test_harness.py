@@ -8,19 +8,22 @@ import numpy as np
 import pytest
 
 from fusedet import diffusion as dif
+from fusedet import harness
 from fusedet import metrics as met
 from fusedet import synthdata as sd
+from fusedet.gmta import StepReport
 from fusedet.harness import (
     RunConfig,
     SceneBatch,
-    StepRecord,
     TrainLog,
     detect_scene,
+    detect_split,
     evaluate_split,
     fuse_scene,
     train,
 )
 from fusedet.model import ModelConfig, ToyModel
+from fusedet.rng import SplitMix64
 
 
 def _cfg(root, **kw) -> RunConfig:
@@ -105,19 +108,68 @@ class TestTrain:
         assert last_d < 0.5 * first_d
 
 
+def _report(step: int, loss_u: float, loss_d: float, **kw) -> StepReport:
+    base = dict(
+        aligned=True, rank=2, kappa_before=3.0, kappa_after=1.0, singular_values=[3.0, 1.0],
+        grad_norm_u=0.5, grad_norm_d=4.0,
+    )
+    base.update(kw)
+    return StepReport(step=step, loss_u=loss_u, loss_d=loss_d, **base)
+
+
 class TestTrainLog:
     def test_jsonl_round_trip_fields(self, tmp_path):
         log = TrainLog(
             [
-                StepRecord(0, 1.0, 2.0, 3.0, 1.0, [3.0, 1.0], 0.5, 4.0, 2, True, [1.0, 1.0]),
-                StepRecord(1, 0.9, 1.9, float("inf"), 1.0, [1.0, 0.0], 0.4, 3.0, 1, True),
+                _report(0, 1.0, 2.0, column_norms_after=[1.0, 1.0]),
+                _report(1, 0.9, 1.9, kappa_before=float("inf"), singular_values=[1.0, 0.0], rank=1),
             ]
         )
         path = tmp_path / "log.jsonl"
         log.to_jsonl(path)
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert lines[0]["step"] == 0 and lines[0]["aligned"] is True
+        assert lines[0]["loss_u"] == 1.0 and lines[0]["loss_d"] == 2.0
         assert lines[1]["kappa_before"] == "inf"
+        assert set(lines[0]) == {f.name for f in dataclasses.fields(StepReport)}
+
+    @pytest.mark.parametrize("n", [1, 5, 20, 33])
+    def test_final_losses_average_the_last_twenty_steps(self, n):
+        log = TrainLog([_report(i, float(i), 2.0 * i) for i in range(n)])
+        tail = list(range(max(0, n - 20), n))
+        assert log.final_losses() == (float(np.mean(tail)), float(np.mean([2.0 * i for i in tail])))
+
+
+def test_train_records_are_what_gmta_step_returns(tiny_dataset, train_batch, monkeypatch):
+    """The benchmark's hooks: it wraps harness.gmta_step and reads asdict of each record."""
+    inner, returned = harness.gmta_step, []
+
+    def counting(*args, **kwargs):
+        rep = inner(*args, **kwargs)
+        returned.append(rep)
+        return rep
+
+    monkeypatch.setattr(harness, "gmta_step", counting)
+    _, log = train(_cfg(tiny_dataset, iterations=3), train_batch)
+    assert len(returned) == 3
+    assert all(rec is rep for rec, rep in zip(log.records, returned, strict=True))
+    for step, rec in enumerate(log.records):
+        d = dataclasses.asdict(rec)
+        assert {"step", "loss_u", "loss_d", "aligned", "kappa_after", "column_norms_after"} <= set(d)
+        assert d["step"] == step and math.isfinite(d["loss_u"]) and math.isfinite(d["loss_d"])
+    assert callable(harness.joint_losses)
+    assert harness.SplitMix64 is SplitMix64
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("modality, bad", [("visible", np.nan), ("infrared", np.inf)])
+def test_non_finite_loss_aborts_training_at_its_step(val_batch, modality, bad):
+    pair = val_batch.pairs[0]
+    img = getattr(pair, modality).copy()
+    img[3, 5] = bad
+    batch = SceneBatch([dataclasses.replace(pair, **{modality: img})])
+    with pytest.raises(FloatingPointError, match="non-finite loss at step 0: loss_u=nan"):
+        train(RunConfig(iterations=3), batch)
 
 
 class TestFuse:
@@ -229,6 +281,14 @@ def test_memorization_recovers_single_scene_boxes(tmp_path):
 
 
 class TestEvaluateSplit:
+    def test_detect_split_uses_the_per_scene_seeds(self, val_batch):
+        model = ToyModel.create(ModelConfig(), 7)
+        preds = detect_split(model, val_batch, 2, seed=11)
+        assert len(preds) == len(val_batch.pairs)
+        for i, (pair, (boxes, scores)) in enumerate(zip(val_batch.pairs, preds)):
+            want_boxes, want_scores = detect_scene(model, pair, 2, SplitMix64(11).derive(0xE7A1, i).next_u64())
+            assert boxes.tobytes() == want_boxes.tobytes() and scores.tobytes() == want_scores.tobytes()
+
     def test_report_schema(self, val_batch):
         model = ToyModel.create(ModelConfig(), 6)
         ev = evaluate_split(model, val_batch, sampling_steps=1, seed=0)

@@ -252,6 +252,31 @@ class TestMapEval:
         with pytest.raises(ValueError, match="scores"):
             met.map_eval([(gt[0].copy(), np.array([1.5]))], gt)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        """A NaN score on a perfect box would otherwise give mAP50 1.0."""
+        gt = [np.array([[0.5, 0.5, 0.2, 0.2]])]
+        with pytest.raises(ValueError, match=r"predictions\[0\]: scores must be finite"):
+            met.map_eval([(gt[0].copy(), np.array([bad]))], gt)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("col", [0, 3])
+    def test_non_finite_box_coordinate_rejected(self, bad, col):
+        gt = [np.array([[0.5, 0.5, 0.2, 0.2]]), np.array([[0.3, 0.3, 0.1, 0.1]])]
+        boxes = gt[1].copy()
+        boxes[0, col] = bad
+        with pytest.raises(ValueError, match=r"predictions\[1\]: non-finite box"):
+            met.map_eval([(gt[0].copy(), np.array([0.9])), (boxes, np.array([0.9]))], gt)
+        bad_gt = [gt[0], boxes]
+        with pytest.raises(ValueError, match=r"ground_truth\[1\]: non-finite box"):
+            met.map_eval([(gt[0].copy(), np.array([0.9])), (gt[1].copy(), np.array([0.9]))], bad_gt)
+
+    def test_score_split_names_the_scene_with_bad_predictions(self):
+        gt = np.array([[0.5, 0.5, 0.2, 0.2]])
+        detections = [((gt.copy(), np.array([0.9])), gt), ((gt.copy(), np.array([np.nan])), gt)]
+        with pytest.raises(ValueError, match="scene b-0001: predictions.*finite"):
+            met.score_split(["a-0000", "b-0001"], None, detections)
+
 
 def _iou_scalar(a, b) -> float:
     """map_eval's former scalar IoU, one box pair at a time; the reference here."""

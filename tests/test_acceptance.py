@@ -6,8 +6,11 @@ runtime budgets are asserted alongside the numeric criteria.
 """
 
 import json
+import os
 import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +24,10 @@ from fusedet import synthdata as sd
 from fusedet.autodiff import Tape
 from fusedet.cli import main as cli_main
 from fusedet.fusion_net import FusionNetConfig, fusion_forward, init_fusion_params
-from fusedet.harness import RunConfig, experiment_gmta, experiment_branches, train, SceneBatch, write_experiment_report
+from fusedet.harness import (
+    RunConfig, TrainLog, evaluate_split, experiment_gmta, experiment_branches, load_split_pair, train,
+    write_experiment_report,
+)
 from fusedet.model import ModelConfig, ToyModel
 from fusedet.rng import SplitMix64
 
@@ -242,6 +248,25 @@ def test_criterion_4_metric_identities():
 
 EXPERIMENT_SEEDS = [0, 1, 2, 3, 4]
 
+# The training runs of criteria 5-7 are independent and seeded, so they run in
+# worker processes (one BLAS thread each): the same rows and logs in about
+# half the wall time on two cores.
+WORKERS = min(2, os.cpu_count() or 1)
+
+
+def _gmta_arm(cfg: RunConfig) -> tuple[dict, TrainLog]:
+    """One seed of one arm of the alignment experiment: its summary row and its train log."""
+    train_batch, eval_batch = load_split_pair(cfg)
+    model, log = train(cfg, train_batch)
+    ev = evaluate_split(model, eval_batch, cfg.sampling_steps, cfg.seed)
+    row = {
+        "seed": cfg.seed,
+        "final_loss_u": log.mean_loss("loss_u", -20),
+        "final_loss_d": log.mean_loss("loss_d", -20),
+        **ev["aggregate"],
+    }
+    return row, log
+
 
 @pytest.fixture(scope="module")
 def gmta_experiment(tmp_path_factory):
@@ -258,27 +283,18 @@ def gmta_experiment(tmp_path_factory):
         dataset_root=str(root), out_dir=str(tmp_path_factory.mktemp("exp_out")),
     )
     t0 = time.time()
-    from dataclasses import replace
-    from fusedet.harness import evaluate_split
-
-    train_batch = SceneBatch.from_dir(root, "train")
-    eval_batch = SceneBatch.from_dir(root, "val")
     arms = {"with_gmta": [], "without_gmta": []}
     logs = {"with_gmta": [], "without_gmta": []}
-    for seed in EXPERIMENT_SEEDS:
-        for name, flag in (("with_gmta", True), ("without_gmta", False)):
-            cfg = replace(base, seed=seed, gmta=flag)
-            model, log = train(cfg, train_batch)
-            ev = evaluate_split(model, eval_batch, cfg.sampling_steps, cfg.seed)
-            arms[name].append(
-                {
-                    "seed": seed,
-                    "final_loss_u": log.mean_loss("loss_u", -20),
-                    "final_loss_d": log.mean_loss("loss_d", -20),
-                    **ev["aggregate"],
-                }
-            )
-            logs[name].append(log)
+    jobs = [
+        (name, replace(base, seed=seed, gmta=flag))
+        for seed in EXPERIMENT_SEEDS
+        for name, flag in (("with_gmta", True), ("without_gmta", False))
+    ]
+    with ProcessPoolExecutor(max_workers=WORKERS) as pool:
+        results = list(pool.map(_gmta_arm, [cfg for _, cfg in jobs]))
+    for (name, _), (row, log) in zip(jobs, results, strict=True):
+        arms[name].append(row)
+        logs[name].append(log)
     report = {
         "seeds": EXPERIMENT_SEEDS,
         "arms": {
@@ -361,7 +377,13 @@ def test_criterion_7_branch_trend(tmp_path):
         seed=0, iterations=400, learning_rate=0.05, dataset_root=str(root),
         out_dir=str(tmp_path / "out"),
     )
-    report = experiment_branches(cfg, [(0,), (0, 1, 2, 3)], seeds=[0, 1, 2, 3, 4])
+    # rows are independent, so each branch set gets its own process; the
+    # stitched report is the one a single call over both sets returns
+    branch_sets = [(0,), (0, 1, 2, 3)]
+    seeds = [0, 1, 2, 3, 4]
+    with ProcessPoolExecutor(max_workers=WORKERS) as pool:
+        parts = list(pool.map(experiment_branches, [cfg] * 2, [[b] for b in branch_sets], [seeds] * 2))
+    report = {"seeds": seeds, "rows": [part["rows"][0] for part in parts]}
     json_path, csv_path = write_experiment_report(cfg.out_dir, "exp_branches", report)
     assert json_path.exists() and csv_path.exists()
     small, full = report["rows"][0], report["rows"][1]

@@ -321,6 +321,16 @@ class TestExperiments:
         jp, cp = write_experiment_report(tmp_path, "exp_gmta", report)
         assert jp.exists() and cp.read_text().startswith("group,seed,")
 
+    def test_branch_rows_match_one_set_at_a_time(self, tiny_dataset):
+        """Criterion 7 runs each branch set in its own process and stitches the rows."""
+        from fusedet.harness import experiment_branches
+
+        cfg = _cfg(tiny_dataset, iterations=2)
+        both = experiment_branches(cfg, [(0,), (0, 1)], seeds=[0, 1])
+        parts = [experiment_branches(cfg, [b], seeds=[0, 1]) for b in [(0,), (0, 1)]]
+        assert both["rows"] == [part["rows"][0] for part in parts]
+        assert [row["branches"] for row in both["rows"]] == [[0], [0, 1]]
+
     def test_experiment_branches_singleton_row_order(self, tiny_dataset):
         from fusedet.harness import experiment_branches
 

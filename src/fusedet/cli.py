@@ -159,9 +159,10 @@ def _cmd_train(args) -> int:
 def _cmd_fuse(args) -> int:
     cfg = _load_config(args)
     model = ToyModel.load(args.model)
+    batch = harness.SceneBatch.from_dir(cfg.dataset_root, args.split)
+    harness.check_scene_sizes(model.cfg.fusion, batch, "fuse")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    batch = harness.SceneBatch.from_dir(cfg.dataset_root, args.split)
     for pair in batch.pairs:
         fused = harness.fuse_scene(model, pair)
         sd.write_image(out / f"{pair.scene_id}.fused.pgm", fused)

@@ -5,7 +5,7 @@ per-level features of the two modalities are summed.  A pixel branch
 fuses the raw pair at full resolution, and each enabled region branch
 projects its pyramid level, scores it against a bank of learnable region
 prompts to get nonnegative soft masks, and emits mask-weighted feature
-stacks.  Branch outputs are upsampled, channel-aligned, merged into a
+stacks.  Branch outputs are channel-aligned, then upsampled, merged into a
 sigmoid gate that modulates the pixel branch, and a five-conv
 reconstruction head produces the fused image in [0, 1].
 
@@ -185,10 +185,12 @@ def assemble_fuse(p: dict[str, Var], b0: Var, branch_outs: list[tuple[int, Var]]
         merged = None
         full = b0.value.shape[-1]
         for l, bl in branch_outs:
+            # a 1x1 conv commutes with nearest upsampling: align at the branch's own
+            # resolution, then upsample fuse_channels maps instead of the M*C stack
+            aligned = ad.conv2d(bl, p[f"fuse.branch{l}.align.w"], p[f"fuse.branch{l}.align.b"])
             factor = full // bl.value.shape[-1]
-            up = ad.upsample_nearest(bl, factor) if factor > 1 else bl
-            aligned = ad.conv2d(up, p[f"fuse.branch{l}.align.w"], p[f"fuse.branch{l}.align.b"])
-            merged = aligned if merged is None else merged + aligned
+            up = ad.upsample_nearest(aligned, factor) if factor > 1 else aligned
+            merged = up if merged is None else merged + up
         mixed = ad.relu(ad.conv2d(merged, p["fuse.mix.w"], p["fuse.mix.b"]))
         gate = ad.sigmoid(ad.conv2d(mixed, p["fuse.gate.w"], p["fuse.gate.b"]))
         feats = b0 * gate + b0

@@ -42,13 +42,7 @@ class AlignmentReport:
     frobenius_distance: float
 
     def to_json(self) -> dict:
-        return {
-            "singular_values": [float(s) for s in self.singular_values],
-            "kappa_before": float(self.kappa_before),
-            "kappa_after": float(self.kappa_after),
-            "rank": int(self.rank),
-            "frobenius_distance": float(self.frobenius_distance),
-        }
+        return asdict(self)  # align() stores plain Python floats and ints
 
 
 def build_gradient_matrix(g_u: np.ndarray, g_d: np.ndarray) -> np.ndarray:
@@ -205,6 +199,8 @@ class StepReport:
     singular_values: list[float]
     grad_norm_u: float
     grad_norm_d: float
+    grad_cosine: float  # cosine of the two shared gradients; 0 when either is zero
+    shared_step_ratio: float  # |G_hat w| / |G w| of the update taken: 1 unaligned, 0 when G w is zero
     column_norms_after: list[float] = field(default_factory=list)
 
     def to_json(self) -> dict:
@@ -240,30 +236,30 @@ def gmta_step(
     gd = ad.flatten_grads(grads_d, shared)
     norm_u = float(np.linalg.norm(gu))
     norm_d = float(np.linalg.norm(gd))
+    cosine = float(gu @ gd / (norm_u * norm_d)) if norm_u > 0 and norm_d > 0 else 0.0
     g = build_gradient_matrix(gu, gd)
-    step_losses = (step, loss_u.item(), loss_d.item())
-    do_align = align_enabled and period >= 1 and (step % period == 0)
+    g_plain = combine(g, np.asarray(w))
+    aligned = bool(align_enabled and period >= 1 and step % period == 0 and np.any(g))
+    g_comb, column_norms = g_plain, []
     if not np.any(g):
-        # no shared signal this step: skip the shared update, still move privates
-        report = StepReport(*step_losses, False, 0, float("inf"), float("inf"), [0.0, 0.0], norm_u, norm_d)
-        g_comb = None
-    elif do_align:
+        # no shared signal this step: the shared parameters stay, privates still move
+        rank, kappa_before, kappa_after, sigma = 0, float("inf"), float("inf"), [0.0, 0.0]
+    elif aligned:
         g_hat, rep = align(g)
         g_comb = combine(g_hat, np.asarray(w))
-        report = StepReport(
-            *step_losses, True, rep.rank, rep.kappa_before, rep.kappa_after, rep.singular_values,
-            norm_u, norm_d,
-            column_norms_after=[float(np.sqrt(g_hat[:, k] @ g_hat[:, k])) for k in range(g_hat.shape[1])],
-        )
+        rank, kappa_before, kappa_after, sigma = rep.rank, rep.kappa_before, rep.kappa_after, rep.singular_values
+        column_norms = [float(np.sqrt(g_hat[:, k] @ g_hat[:, k])) for k in range(g_hat.shape[1])]
     else:
-        _, sigma, _ = svd(g)
-        kappa = float("inf") if sigma[-1] <= RANK_TOL * sigma[0] else float(sigma[0] / sigma[-1])
-        rank = int(np.sum(sigma > RANK_TOL * sigma[0]))
-        g_comb = combine(g, np.asarray(w))
-        report = StepReport(*step_losses, False, rank, kappa, kappa, [float(s) for s in sigma], norm_u, norm_d)
-    if g_comb is not None and shared:
-        shapes = params.shapes()
-        updates = ad.unflatten(g_comb, shapes, shared)
+        _, s, _ = svd(g)
+        kappa_before = kappa_after = float("inf") if s[-1] <= RANK_TOL * s[0] else float(s[0] / s[-1])
+        rank, sigma = int(np.sum(s > RANK_TOL * s[0])), [float(v) for v in s]
+    plain = float(np.linalg.norm(g_plain))
+    report = StepReport(
+        step, loss_u.item(), loss_d.item(), aligned, rank, kappa_before, kappa_after, sigma, norm_u, norm_d,
+        cosine, float(np.linalg.norm(g_comb)) / plain if plain > 0 else 0.0, column_norms,
+    )
+    if np.any(g_comb):
+        updates = ad.unflatten(g_comb, params.shapes(), shared)
         for name in shared:
             params.values[name] = params.values[name] - lr * updates[name]
     for name in params.private_names():

@@ -78,9 +78,6 @@ class RunConfig:
 class TrainLog:
     records: list[StepReport] = field(default_factory=list)
 
-    def append(self, rec: StepReport) -> None:
-        self.records.append(rec)
-
     def to_jsonl(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as f:
             for rec in self.records:
@@ -146,10 +143,17 @@ def joint_losses(
     return loss_u, loss_d
 
 
+def check_scene_sizes(cfg: FusionNetConfig, batch: SceneBatch, op: str) -> None:
+    """Reject, by scene id, the first scene whose size the fusion head cannot reassemble."""
+    for i, pair in enumerate(batch.pairs):
+        cfg.check_image_size(f"{op}: scene {pair.scene_id or f'scene-{i:04d}'}", *pair.visible.shape)
+
+
 def train(config: RunConfig, batch: SceneBatch | None = None) -> tuple[ToyModel, TrainLog]:
-    """Seeded joint training; aborts with context if a loss goes non-finite."""
+    """Seeded joint training; rejects unfusable scene sizes up front, aborts if a loss goes non-finite."""
     if batch is None:
         batch = SceneBatch.from_dir(config.dataset_root, config.train_split)
+    check_scene_sizes(config.model_config().fusion, batch, "train")
     model = ToyModel.create(config.model_config(), config.seed)
     schedule = dif.build_schedule(config.diffusion_steps)
     rng = SplitMix64(config.seed).derive(0x7124)
@@ -175,7 +179,7 @@ def train(config: RunConfig, batch: SceneBatch | None = None) -> tuple[ToyModel,
         )
         # the losses reach this step's whole graph; free it before the next forward
         del loss_u, loss_d
-        log.append(rep)
+        log.records.append(rep)
     return model, log
 
 

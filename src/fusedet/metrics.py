@@ -46,13 +46,6 @@ class DetectionEval:
     map50: float
     map5095: float
 
-    def to_json(self) -> dict:
-        return {
-            "ap_per_threshold": {f"{k:.2f}": float(v) for k, v in self.ap_per_threshold.items()},
-            "map50": float(self.map50),
-            "map5095": float(self.map5095),
-        }
-
 
 def _quantize(img: np.ndarray) -> np.ndarray:
     img = np.asarray(img, dtype=np.float64)

@@ -124,6 +124,60 @@ class TestForwardValues:
         want = ad._col2im(w.reshape(1, -1).T @ g.reshape(1, -1), (3, 9, 8), 3, 3, stride, ho, wo)
         assert gx.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("c_out", [1, 16])
+    def test_pointwise_conv2d_is_im2col_gemm_signed_zeros_aside(self, c_out):
+        """A 1x1 stride-1 kernel skips im2col and col2im, not their arithmetic.
+
+        Its input gradient is the GEMM product itself; _col2im adds that onto
+        zeros, which turns -0.0 into +0.0, so both sides are compared after
+        adding +0.0.  Every other byte must match.
+        """
+        rng = np.random.default_rng(50 + c_out)
+        t = Tape()
+        x = t.leaf(rng.normal(size=(6, 7, 9)), requires_grad=True)
+        w = rng.normal(size=(c_out, 6, 1, 1))
+        b = rng.normal(size=c_out)
+        out = ad.conv2d(x, t.constant(w), t.constant(b))
+        cols, ho, wo = ad._im2col(x.value, 1, 1, 1)
+        want = (w.reshape(c_out, 6) @ cols).reshape(c_out, 7, 9)
+        want += b[:, None, None]
+        assert out.value.tobytes() == want.tobytes()
+        g = rng.normal(size=out.value.shape)
+        g[rng.random(g.shape) < 0.3] = -0.0
+        (gx,) = ad.gradients(ad.tsum(out * g), [x])
+        wm = w.reshape(c_out, 6)
+        gcols = wm.T * g.reshape(1, -1) if c_out == 1 else wm.T @ g.reshape(c_out, -1)
+        want_gx = ad._col2im(gcols, (6, 7, 9), 1, 1, 1, ho, wo)
+        assert (gx + 0.0).tobytes() == (want_gx + 0.0).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("c_out", [1, 16])
+    def test_conv2d_weight_gradient_bytes_of_gf_cols_t(self, c_out, k):
+        """The op's transposed product (cols @ gf.T).T has the bytes of gf @ cols.T, at the fusion head's sizes."""
+        rng = np.random.default_rng(60 + c_out + k)
+        t = Tape()
+        x = rng.normal(size=(16, 64, 64))
+        w = t.leaf(rng.normal(size=(c_out, 16, k, k)), requires_grad=True)
+        out = ad.conv2d(t.constant(x), w)
+        g = rng.normal(size=out.value.shape)
+        (gw,) = ad.gradients(ad.tsum(out * g), [w])
+        cols, _, _ = ad._im2col(x, k, k, 1)
+        want = (g.reshape(c_out, -1) @ cols.T).reshape(w.value.shape)
+        assert gw.tobytes() == want.tobytes()
+
+    def test_sigmoid_bytes_of_masked_formula(self):
+        """exp(-|v|) and one select give the bytes of the two masked branches, signed zeros included."""
+        rng = np.random.default_rng(70)
+        v = np.concatenate([[0.0, -0.0, 1e3, -1e3, 745.0, -745.0], rng.normal(size=3000) * 8.0])
+        want = np.empty_like(v)
+        pos = v >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+        ev = np.exp(v[~pos])
+        want[~pos] = ev / (1.0 + ev)
+        t = Tape()
+        assert ad.sigmoid(t.constant(v)).value.tobytes() == want.tobytes()
+        assert ad.sigmoid(t.constant(v.reshape(3006 // 6, 6))).value.tobytes() == want.tobytes()
+
     def test_blur_matches_dense_window_sum(self):
         rng = np.random.default_rng(5)
         img = rng.normal(size=(9, 7))
@@ -306,6 +360,10 @@ def test_op_gradient_matches_finite_differences(name):
 _STRUCTURED = {
     "conv2d_s1": {
         "shapes": {"x": (2, 5, 5), "w": (3, 2, 3, 3), "b": (3,)},
+        "build": lambda t, v: ad.mean(ad.square(ad.conv2d(v["x"], v["w"], v["b"], stride=1))),
+    },
+    "conv2d_1x1": {
+        "shapes": {"x": (3, 4, 5), "w": (2, 3, 1, 1), "b": (2,)},
         "build": lambda t, v: ad.mean(ad.square(ad.conv2d(v["x"], v["w"], v["b"], stride=1))),
     },
     "conv2d_s2": {

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, config overrides, byte-determinism."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 from fusedet import synthdata as sd
 from fusedet.cli import main
+from fusedet.model import ModelConfig, ToyModel
 
 
 def _tree_digest(root: Path) -> dict[str, str]:
@@ -64,6 +66,24 @@ class TestGen:
         assert rc == 1
         assert "is not a multiple of 4 on each side" in capsys.readouterr().err
         assert not (tmp_path / "train").exists()
+
+
+class TestFuse:
+    def test_unfusable_scene_rejected_by_id_before_any_output(self, tmp_path, tiny_dataset, capsys):
+        root = tmp_path / "data"
+        for sid in sd.list_scene_ids(tiny_dataset, "val"):
+            sd.write_scene(root, "val", sid, sd.load_scene(tiny_dataset, "val", sid))
+        pair = sd.load_scene(tiny_dataset, "val", "scene-0000")
+        # sorted last, so the old per-scene check would have written every other scene first
+        wide = np.pad(pair.visible, ((0, 0), (0, 2)))
+        sd.write_scene(root, "val", "scene-9999", dataclasses.replace(pair, visible=wide, infrared=wide))
+        model = tmp_path / "model.json"
+        ToyModel.create(ModelConfig(), 0).save(model)
+        out = tmp_path / "fused"
+        argv = ["fuse", "--model", str(model), "--dataset-root", str(root), "--split", "val", "--out", str(out)]
+        assert main(argv) == 2
+        assert "fuse: scene scene-9999: image size 64x66 is not a multiple of 4" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGmtaDemo:

@@ -234,6 +234,42 @@ class TestAssemble:
             fn.FusionNetConfig(branches=(0, 7)).validate()
 
 
+def _assemble_upsample_first(p, b0, branch_outs):
+    """assemble_fuse with each branch stack upsampled to full size before its 1x1 align conv."""
+    merged = None
+    for l, bl in branch_outs:
+        factor = b0.value.shape[-1] // bl.value.shape[-1]
+        up = ad.upsample_nearest(bl, factor) if factor > 1 else bl
+        aligned = ad.conv2d(up, p[f"fuse.branch{l}.align.w"], p[f"fuse.branch{l}.align.b"])
+        merged = aligned if merged is None else merged + aligned
+    mixed = ad.relu(ad.conv2d(merged, p["fuse.mix.w"], p["fuse.mix.b"]))
+    h = b0 * ad.sigmoid(ad.conv2d(mixed, p["fuse.gate.w"], p["fuse.gate.b"])) + b0
+    for i in range(1, 5):
+        h = ad.relu(ad.conv2d(h, p[f"fuse.recon.c{i}.w"], p[f"fuse.recon.c{i}.b"]))
+    out = ad.conv2d(h, p["fuse.recon.c5.w"], p["fuse.recon.c5.b"])
+    return ad.sigmoid(ad.reshape(out, out.value.shape[1:]))
+
+
+def test_align_before_upsample_keeps_the_fused_bytes():
+    """Aligning each branch at its own resolution changes no forward byte; gradients agree to rounding."""
+    cfg = fn.FusionNetConfig(branches=(0, 1, 2, 3))
+    rng = np.random.default_rng(12)
+    x0, y0 = rng.uniform(size=(1, 64, 64)), rng.uniform(size=(1, 64, 64))
+    results = []
+    for assemble in (fn.assemble_fuse, _assemble_upsample_first):
+        t, pv, _ = _place(cfg, seed=12)
+        x, y = t.constant(x0), t.constant(y0)
+        pyramid = fn.backbone_forward(pv, x, y, cfg)
+        branch_outs = [(l, fn.branch_output(pv, pyramid[l - 1], l)) for l in (1, 2, 3)]
+        u = assemble(pv, fn.pixel_block(pv, x, y), branch_outs)
+        names = sorted(pv)
+        results.append((u.value, dict(zip(names, ad.gradients(ad.mean(ad.square(u)), [pv[n] for n in names])))))
+    (u_new, g_new), (u_ref, g_ref) = results
+    assert u_new.tobytes() == u_ref.tobytes()
+    for name in g_ref:
+        assert rel_err(g_new[name], g_ref[name]) < 1e-12, name
+
+
 class TestCoupling:
     def test_backbone_perturbation_moves_both_heads(self):
         """Shared-parameter coupling: one backbone weight change shows up in both outputs."""

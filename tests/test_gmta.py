@@ -273,6 +273,39 @@ class TestGmtaStep:
         rep = gmta.gmta_step(ps, lu, ld, (0.5, 0.5), lr=0.1, step=0, period=1)
         assert rep.rank == 1
 
+    def test_cosine_and_shared_step_ratio(self):
+        # gu = 2 (w - (0, 2)) = (2, -2), gd = w - (2, 1) = (-1, 0) at w = (1, 1)
+        gu, gd = np.array([2.0, -2.0]), np.array([-1.0, 0.0])
+        cosine = gu @ gd / (np.linalg.norm(gu) * np.linalg.norm(gd))
+        for step, period in ((0, 1), (1, 1000)):
+            ps, lu, ld = _quadratic_setup([0.0, 2.0], [2.0, 1.0])
+            before = ps.values["shared.w"].copy()
+            rep = gmta.gmta_step(ps, lu, ld, (0.3, 0.7), lr=0.1, step=step, period=period)
+            assert rep.grad_cosine == pytest.approx(cosine, rel=1e-12)
+            taken = np.linalg.norm(before - ps.values["shared.w"]) / 0.1
+            assert rep.shared_step_ratio == pytest.approx(taken / np.linalg.norm(0.3 * gu + 0.7 * gd), rel=1e-9)
+            if rep.aligned:
+                # equal-norm orthogonal columns at sigma_min: |G_hat w| = sigma_min |w|
+                assert rep.shared_step_ratio * np.linalg.norm(0.3 * gu + 0.7 * gd) == pytest.approx(
+                    min(rep.singular_values) * np.hypot(0.3, 0.7), rel=1e-9
+                )
+            else:
+                assert rep.shared_step_ratio == 1.0
+
+    def test_no_shared_gradient_gives_zero_cosine_and_ratio(self):
+        ps, _, _ = _quadratic_setup([0.0, 2.0], [2.0, 0.0])
+        lu = ad.tsum(ad.square(ps.vars["head_u.w"]))
+        ld = ad.tsum(ad.square(ps.vars["head_d.w"]))
+        rep = gmta.gmta_step(ps, lu, ld, (0.5, 0.5), lr=0.1, step=0, period=1)
+        assert (rep.rank, rep.grad_cosine, rep.shared_step_ratio) == (0, 0.0, 0.0)
+
+    def test_rank_one_step_keeps_its_length(self):
+        ps, lu, _ = _quadratic_setup([0.0, 2.0], [2.0, 0.0])
+        ld = ad.tsum(ad.square(ps.vars["head_d.w"]))
+        rep = gmta.gmta_step(ps, lu, ld, (0.5, 0.5), lr=0.1, step=0, period=1)
+        assert rep.rank == 1 and rep.grad_cosine == 0.0
+        assert rep.shared_step_ratio == pytest.approx(1.0, rel=1e-12)
+
     def test_alignment_report_serializes(self):
         _, rep = gmta.align(np.array([[2.0, 0.0], [0.0, 1.0]]))
         d = rep.to_json()

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from fusedet import autodiff as ad
 from fusedet import diffusion as dif
 from fusedet import harness
 from fusedet import metrics as met
@@ -111,7 +112,7 @@ class TestTrain:
 def _report(step: int, loss_u: float, loss_d: float, **kw) -> StepReport:
     base = dict(
         aligned=True, rank=2, kappa_before=3.0, kappa_after=1.0, singular_values=[3.0, 1.0],
-        grad_norm_u=0.5, grad_norm_d=4.0,
+        grad_norm_u=0.5, grad_norm_d=4.0, grad_cosine=0.25, shared_step_ratio=0.5,
     )
     base.update(kw)
     return StepReport(step=step, loss_u=loss_u, loss_d=loss_d, **base)
@@ -159,6 +160,22 @@ def test_train_records_are_what_gmta_step_returns(tiny_dataset, train_batch, mon
         assert d["step"] == step and math.isfinite(d["loss_u"]) and math.isfinite(d["loss_d"])
     assert callable(harness.joint_losses)
     assert harness.SplitMix64 is SplitMix64
+
+
+def test_train_rejects_an_unfusable_scene_by_id_before_any_step(val_batch, monkeypatch):
+    pair = val_batch.pairs[0]
+    wide = dataclasses.replace(
+        pair, scene_id="scene-odd", visible=np.pad(pair.visible, ((0, 0), (0, 2))),
+        infrared=np.pad(pair.infrared, ((0, 0), (0, 2))),
+    )
+
+    def no_steps(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(harness, "joint_losses", no_steps)
+    batch = SceneBatch([*val_batch.pairs[1:], wide])
+    with pytest.raises(ad.ShapeError, match=r"train: scene scene-odd: image size 64x66 is not a multiple of 4"):
+        train(RunConfig(iterations=3), batch)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,6 +1,6 @@
 """fusedet: toy visible/infrared fusion + diffusion box detection with task-aligned joint training."""
 
-from .autodiff import ParamSet, Tape, Var, backward, flatten_grads, gradients, unflatten
+from .autodiff import ParamSet, Var, backward, flatten_grads, gradients, unflatten
 from .gmta import AlignmentReport, align, build_gradient_matrix, combine, condition_number, gmta_step, svd
 from .harness import RunConfig, TrainLog, train
 from .model import ModelConfig, ToyModel
@@ -10,7 +10,6 @@ __all__ = [
     "ModelConfig",
     "ParamSet",
     "RunConfig",
-    "Tape",
     "ToyModel",
     "TrainLog",
     "Var",

@@ -1,18 +1,18 @@
-"""Dense float64 tensors on a define-by-run reverse-mode differentiation tape.
+"""Dense float64 tensors with define-by-run reverse-mode differentiation.
 
-A :class:`Tape` numbers the nodes of one forward computation and is rebuilt
-for every new one.  Values are plain C-contiguous float64 numpy arrays;
-wrapping a value in a :class:`Var` ties it to a tape node so exact
-reverse-mode gradients can be pulled out of any scalar result.  Tensors are
-treated as immutable once recorded.
+Values are plain C-contiguous float64 numpy arrays; wrapping a value in a
+:class:`Var` makes it a graph node, so exact reverse-mode gradients can be
+pulled out of any scalar result.  Tensors are treated as immutable once
+recorded.
 
-The graph lives in the Vars, not in the tape: each Var that needs a
-gradient carries its own backward closure, which holds its input Vars and
-whatever buffers the backward pass needs.  Nothing points back from a tape
-to its Vars, so a graph, its buffers and its tape are freed by reference
+There is no tape object.  Each Var that needs a gradient carries its own
+backward closure, which holds its input Vars and whatever buffers the
+backward pass needs, so a graph and its buffers are freed by reference
 counting as soon as the last Var that reaches them is dropped.  A Var that
 needs no gradient keeps no closure, so a subgraph of constants holds only
-its own values.
+its own values.  Node order is one counter inside this module: every Var
+gets a larger index than its inputs, which is all :func:`gradients` needs,
+and Vars from separate forward passes combine freely.
 
 Broadcasting is limited to scalar-with-tensor; anything fancier must be
 spelled out with explicit ops.
@@ -21,6 +21,7 @@ spelled out with explicit ops.
 from __future__ import annotations
 
 import heapq
+import itertools
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -39,47 +40,36 @@ def _as_array(x) -> np.ndarray:
     return np.ascontiguousarray(a)
 
 
-class Tape:
-    """Counter that orders the nodes of one forward pass.
+_node_ids = itertools.count()
 
-    A tape holds no references to its nodes; it stays alive only while
-    some Var recorded on it does.
-    """
 
-    def __init__(self):
-        self._count = 0
-
-    def _record(self, value: np.ndarray, backward_fn, requires_grad: bool) -> "Var":
-        v = Var(self, self._count, value, requires_grad, backward_fn if requires_grad else None)
-        self._count += 1
-        return v
-
-    def leaf(self, value, requires_grad: bool = False) -> "Var":
-        return self._record(_as_array(value), None, requires_grad)
-
-    def constant(self, value) -> "Var":
-        return self.leaf(value, requires_grad=False)
-
-    def __len__(self) -> int:
-        return self._count
+def _record(value: np.ndarray, backward_fn, requires_grad: bool) -> "Var":
+    return Var(next(_node_ids), value, requires_grad, backward_fn if requires_grad else None)
 
 
 class Var:
-    """Tensor value bound to a tape node.
+    """Tensor value bound to a graph node.
 
     ``backward_fn`` maps the gradient of this node to ``(input Var,
     gradient)`` pairs; it is None for leaves and for nodes that need no
     gradient.
     """
 
-    __slots__ = ("tape", "idx", "value", "requires_grad", "backward_fn")
+    __slots__ = ("idx", "value", "requires_grad", "backward_fn", "__weakref__")
 
-    def __init__(self, tape: Tape, idx: int, value: np.ndarray, requires_grad: bool, backward_fn):
-        self.tape = tape
+    def __init__(self, idx: int, value: np.ndarray, requires_grad: bool, backward_fn):
         self.idx = idx
         self.value = value
         self.requires_grad = requires_grad
         self.backward_fn = backward_fn
+
+    @classmethod
+    def leaf(cls, value, requires_grad: bool = False) -> "Var":
+        return _record(_as_array(value), None, requires_grad)
+
+    @classmethod
+    def constant(cls, value) -> "Var":
+        return cls.leaf(value, requires_grad=False)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -124,19 +114,8 @@ class Var:
         return absolute(self)
 
 
-def _lift(tape: Tape, x) -> Var:
-    if isinstance(x, Var):
-        if x.tape is not tape:
-            raise ValueError("operands live on different tapes")
-        return x
-    return tape.constant(x)
-
-
-def _find_tape(*xs) -> Tape:
-    for x in xs:
-        if isinstance(x, Var):
-            return x.tape
-    raise TypeError("at least one operand must be a Var")
+def _lift(x) -> Var:
+    return x if isinstance(x, Var) else Var.constant(x)
 
 
 def _reduce_like(g: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -155,44 +134,40 @@ def _pair_shapes(op: str, a: Var, b: Var) -> None:
 
 
 def add(a, b) -> Var:
-    tape = _find_tape(a, b)
-    a, b = _lift(tape, a), _lift(tape, b)
+    a, b = _lift(a), _lift(b)
     _pair_shapes("add", a, b)
     out = a.value + b.value
 
     def backward(g):
         return [(a, _reduce_like(g, a.value)), (b, _reduce_like(g, b.value))]
 
-    return tape._record(out, backward, a.requires_grad or b.requires_grad)
+    return _record(out, backward, a.requires_grad or b.requires_grad)
 
 
 def sub(a, b) -> Var:
-    tape = _find_tape(a, b)
-    a, b = _lift(tape, a), _lift(tape, b)
+    a, b = _lift(a), _lift(b)
     _pair_shapes("sub", a, b)
     out = a.value - b.value
 
     def backward(g):
         return [(a, _reduce_like(g, a.value)), (b, _reduce_like(-g, b.value))]
 
-    return tape._record(out, backward, a.requires_grad or b.requires_grad)
+    return _record(out, backward, a.requires_grad or b.requires_grad)
 
 
 def mul(a, b) -> Var:
-    tape = _find_tape(a, b)
-    a, b = _lift(tape, a), _lift(tape, b)
+    a, b = _lift(a), _lift(b)
     _pair_shapes("mul", a, b)
     out = a.value * b.value
 
     def backward(g):
         return [(a, _reduce_like(g * b.value, a.value)), (b, _reduce_like(g * a.value, b.value))]
 
-    return tape._record(out, backward, a.requires_grad or b.requires_grad)
+    return _record(out, backward, a.requires_grad or b.requires_grad)
 
 
 def div(a, b) -> Var:
-    tape = _find_tape(a, b)
-    a, b = _lift(tape, a), _lift(tape, b)
+    a, b = _lift(a), _lift(b)
     _pair_shapes("div", a, b)
     if np.any(b.value == 0.0):
         raise ValueError("div: division by zero")
@@ -203,12 +178,11 @@ def div(a, b) -> Var:
         gb = _reduce_like(-g * a.value / (b.value * b.value), b.value)
         return [(a, ga), (b, gb)]
 
-    return tape._record(out, backward, a.requires_grad or b.requires_grad)
+    return _record(out, backward, a.requires_grad or b.requires_grad)
 
 
 def matmul(a, b) -> Var:
-    tape = _find_tape(a, b)
-    a, b = _lift(tape, a), _lift(tape, b)
+    a, b = _lift(a), _lift(b)
     if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {_shp(a.value)} and {_shp(b.value)}")
     out = a.value @ b.value
@@ -216,7 +190,7 @@ def matmul(a, b) -> Var:
     def backward(g):
         return [(a, g @ b.value.T), (b, a.value.T @ g)]
 
-    return tape._record(out, backward, a.requires_grad or b.requires_grad)
+    return _record(out, backward, a.requires_grad or b.requires_grad)
 
 
 def relu(x: Var) -> Var:
@@ -226,7 +200,7 @@ def relu(x: Var) -> Var:
         # out > 0 exactly where x > 0; the mask is built only when a gradient is asked for
         return [(x, g * (out > 0.0))]
 
-    return x.tape._record(out, backward, x.requires_grad)
+    return _record(out, backward, x.requires_grad)
 
 
 def sigmoid(x: Var) -> Var:
@@ -238,7 +212,7 @@ def sigmoid(x: Var) -> Var:
     def backward(g):
         return [(x, g * out * (1.0 - out))]
 
-    return x.tape._record(out, backward, x.requires_grad)
+    return _record(out, backward, x.requires_grad)
 
 
 def tsum(x: Var, axis=None) -> Var:
@@ -251,7 +225,7 @@ def tsum(x: Var, axis=None) -> Var:
         ge = np.expand_dims(g, axis)
         return [(x, np.broadcast_to(ge, shape).copy())]
 
-    return x.tape._record(np.asarray(out, dtype=np.float64), backward, x.requires_grad)
+    return _record(np.asarray(out, dtype=np.float64), backward, x.requires_grad)
 
 
 def mean(x: Var, axis=None) -> Var:
@@ -267,7 +241,7 @@ def mean(x: Var, axis=None) -> Var:
         ge = np.expand_dims(g, axis) / count
         return [(x, np.broadcast_to(ge, shape).copy())]
 
-    return x.tape._record(np.asarray(out, dtype=np.float64), backward, x.requires_grad)
+    return _record(np.asarray(out, dtype=np.float64), backward, x.requires_grad)
 
 
 def absolute(x: Var) -> Var:
@@ -277,7 +251,7 @@ def absolute(x: Var) -> Var:
     def backward(g):
         return [(x, g * sgn)]
 
-    return x.tape._record(out, backward, x.requires_grad)
+    return _record(out, backward, x.requires_grad)
 
 
 def square(x: Var) -> Var:
@@ -286,7 +260,7 @@ def square(x: Var) -> Var:
     def backward(g):
         return [(x, 2.0 * g * x.value)]
 
-    return x.tape._record(out, backward, x.requires_grad)
+    return _record(out, backward, x.requires_grad)
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> tuple[np.ndarray, int, int]:
@@ -330,8 +304,7 @@ def conv2d(x: Var, w: Var, b: Var | None = None, stride: int = 1) -> Var:
 
     Stride 1 preserves the spatial size; stride 2 halves it (ceil).
     """
-    tape = x.tape
-    w = _lift(tape, w)
+    w = _lift(w)
     if stride not in (1, 2):
         raise ValueError(f"conv2d: stride must be 1 or 2, got {stride}")
     if x.value.ndim != 3 or w.value.ndim != 4:
@@ -343,7 +316,7 @@ def conv2d(x: Var, w: Var, b: Var | None = None, stride: int = 1) -> Var:
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"conv2d: kernel dims must be odd, got {kh}x{kw}")
     if b is not None:
-        b = _lift(tape, b)
+        b = _lift(b)
         if b.value.shape != (c_out,):
             raise ShapeError(f"conv2d: bias shape {_shp(b.value)} != ({c_out},)")
     # a pointwise kernel is one GEMM on the input's own (C, H*W) view: no im2col copy, no col2im
@@ -370,7 +343,7 @@ def conv2d(x: Var, w: Var, b: Var | None = None, stride: int = 1) -> Var:
         return grads
 
     req = x.requires_grad or w.requires_grad or (b is not None and b.requires_grad)
-    return tape._record(out, backward, req)
+    return _record(out, backward, req)
 
 
 def _corr1(img: np.ndarray, vec: np.ndarray, axis: int, same: bool) -> np.ndarray:
@@ -432,7 +405,7 @@ def blur(x: Var, kernel: np.ndarray) -> Var:
         # adjoint of same-zero-pad correlation is correlation with the flipped kernel
         return [(x, correlate(g, flipped))]
 
-    return x.tape._record(out, backward, x.requires_grad)
+    return _record(out, backward, x.requires_grad)
 
 
 def upsample_nearest(x: Var, factor: int) -> Var:
@@ -453,14 +426,13 @@ def upsample_nearest(x: Var, factor: int) -> Var:
             gx += row
         return [(x, gx)]
 
-    return x.tape._record(out, backward, x.requires_grad)
+    return _record(out, backward, x.requires_grad)
 
 
 def concat(parts: Sequence[Var], axis: int = 0) -> Var:
     if not parts:
         raise ValueError("concat: no inputs")
-    tape = _find_tape(*parts)
-    parts = [_lift(tape, p) for p in parts]
+    parts = [_lift(p) for p in parts]
     nd = parts[0].value.ndim
     for p in parts[1:]:
         if p.value.ndim != nd:
@@ -482,7 +454,7 @@ def concat(parts: Sequence[Var], axis: int = 0) -> Var:
             grads.append((p, g[tuple(sl)]))
         return grads
 
-    return tape._record(out, backward, any(p.requires_grad for p in parts))
+    return _record(out, backward, any(p.requires_grad for p in parts))
 
 
 def reshape(x: Var, shape) -> Var:
@@ -492,7 +464,7 @@ def reshape(x: Var, shape) -> Var:
     def backward(g):
         return [(x, g.reshape(orig))]
 
-    return x.tape._record(out, backward, x.requires_grad)
+    return _record(out, backward, x.requires_grad)
 
 
 def spatial_norm(x: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
@@ -503,8 +475,7 @@ def spatial_norm(x: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
     normalized value is defined as 0 there, so the output is the affine
     bias alone.
     """
-    tape = x.tape
-    gamma, beta = _lift(tape, gamma), _lift(tape, beta)
+    gamma, beta = _lift(gamma), _lift(beta)
     if x.value.ndim != 3:
         raise ShapeError(f"spatial_norm: expected CxHxW, got {_shp(x.value)}")
     c = x.value.shape[0]
@@ -539,7 +510,7 @@ def spatial_norm(x: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
         return grads
 
     req = x.requires_grad or gamma.requires_grad or beta.requires_grad
-    return tape._record(out, backward, req)
+    return _record(out, backward, req)
 
 
 def rowwise_outer(a: Var, b: Var) -> Var:
@@ -548,8 +519,7 @@ def rowwise_outer(a: Var, b: Var) -> Var:
     Row m*C+c of the output is a[m] * b[c]; this is the mask-weighting of
     feature rows used by the region branches.
     """
-    tape = _find_tape(a, b)
-    a, b = _lift(tape, a), _lift(tape, b)
+    a, b = _lift(a), _lift(b)
     if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[1]:
         raise ShapeError(f"rowwise_outer: incompatible shapes {_shp(a.value)} and {_shp(b.value)}")
     m, k = a.value.shape
@@ -561,7 +531,7 @@ def rowwise_outer(a: Var, b: Var) -> Var:
         return [(a, (g3 * b.value[None, :, :]).sum(axis=1)),
                 (b, (g3 * a.value[:, None, :]).sum(axis=0))]
 
-    return tape._record(out, backward, a.requires_grad or b.requires_grad)
+    return _record(out, backward, a.requires_grad or b.requires_grad)
 
 
 def gather_pixels(x: Var, rows: np.ndarray, cols: np.ndarray) -> Var:
@@ -582,17 +552,16 @@ def gather_pixels(x: Var, rows: np.ndarray, cols: np.ndarray) -> Var:
         np.add.at(gx, (slice(None), rows, cols), g.T)
         return [(x, gx)]
 
-    return x.tape._record(out, backward, x.requires_grad)
+    return _record(out, backward, x.requires_grad)
 
 
 def linear(x: Var, w: Var, b: Var | None = None) -> Var:
     """Row-wise affine map: (N,Ci) @ (Ci,Co) + b."""
-    tape = _find_tape(x, w)
-    x, w = _lift(tape, x), _lift(tape, w)
+    x, w = _lift(x), _lift(w)
     if x.value.ndim != 2 or w.value.ndim != 2 or x.value.shape[1] != w.value.shape[0]:
         raise ShapeError(f"linear: incompatible shapes {_shp(x.value)} and {_shp(w.value)}")
     if b is not None:
-        b = _lift(tape, b)
+        b = _lift(b)
         if b.value.shape != (w.value.shape[1],):
             raise ShapeError(f"linear: bias shape {_shp(b.value)} != ({w.value.shape[1]},)")
     out = x.value @ w.value
@@ -606,7 +575,7 @@ def linear(x: Var, w: Var, b: Var | None = None) -> Var:
         return grads
 
     req = x.requires_grad or w.requires_grad or (b is not None and b.requires_grad)
-    return tape._record(out, backward, req)
+    return _record(out, backward, req)
 
 
 def gradients(root: Var, wrt: Sequence[Var]) -> list[np.ndarray]:
@@ -616,10 +585,6 @@ def gradients(root: Var, wrt: Sequence[Var]) -> list[np.ndarray]:
     """
     if root.value.size != 1:
         raise ValueError(f"backward: root must be scalar, got shape {_shp(root.value)}")
-    tape = root.tape
-    for v in wrt:
-        if v.tape is not tape:
-            raise ValueError("backward: wrt var lives on a different tape")
     wanted: dict[int, np.ndarray | None] = {v.idx: None for v in wrt}
     # pending parents, idx -> (Var, accumulated gradient), visited in
     # descending idx so every node's gradient is complete when it is popped
@@ -647,10 +612,10 @@ def gradients(root: Var, wrt: Sequence[Var]) -> list[np.ndarray]:
 class ParamSet:
     """Named parameters with a mask of names shared between the two tasks.
 
-    The float64 value arrays live here across iterations; ``place`` binds
-    them onto a fresh tape as gradient-tracked leaves for one forward pass
-    and remembers them for :func:`backward`, while ``constants`` binds them
-    as constants for a pass that needs no gradient.  Updates replace value
+    The float64 value arrays live here across iterations; ``place`` wraps
+    them as fresh gradient-tracked leaves for one forward pass and
+    remembers them for :func:`backward`, while ``constants`` wraps them as
+    constants for a pass that needs no gradient.  Updates replace value
     arrays, never mutate recorded ones.
     """
 
@@ -662,12 +627,12 @@ class ParamSet:
             raise ValueError(f"shared mask names missing from params: {sorted(missing)}")
         self.vars: dict[str, Var] = {}
 
-    def place(self, tape: Tape) -> dict[str, Var]:
-        self.vars = {k: tape.leaf(v, requires_grad=True) for k, v in self.values.items()}
+    def place(self) -> dict[str, Var]:
+        self.vars = {k: Var.leaf(v, requires_grad=True) for k, v in self.values.items()}
         return self.vars
 
-    def constants(self, tape: Tape) -> dict[str, Var]:
-        return {k: tape.constant(v) for k, v in self.values.items()}
+    def constants(self) -> dict[str, Var]:
+        return {k: Var.constant(v) for k, v in self.values.items()}
 
     def names(self) -> list[str]:
         return list(self.values)
@@ -685,7 +650,7 @@ class ParamSet:
 def backward(root: Var, params: ParamSet) -> dict[str, np.ndarray]:
     """Gradient of a scalar root for every parameter; unreached ones are zero."""
     if not params.vars:
-        raise ValueError("backward: params were never placed on a tape")
+        raise ValueError("backward: params were never placed")
     names = params.names()
     gs = gradients(root, [params.vars[n] for n in names])
     return dict(zip(names, gs))

@@ -33,29 +33,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+_RUN_FIELDS = frozenset(f.name for f in dataclasses.fields(RunConfig))
+
+
 def _load_config(args) -> RunConfig:
+    """The config file's fields, overridden by every flag whose dest names a RunConfig field."""
     base = {}
     if getattr(args, "config", None):
         base = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(base, dict):
             raise _UsageError(f"config {args.config} must hold a JSON object")
-        unknown = sorted(set(base) - {f.name for f in dataclasses.fields(RunConfig)})
+        unknown = sorted(set(base) - _RUN_FIELDS)
         if unknown:
             raise _UsageError(f"unknown key(s) in config {args.config}: {', '.join(unknown)}")
-    cfg = RunConfig.from_json(base) if base else RunConfig()
-    overrides = {}
-    for name in (
-        "seed", "iterations", "learning_rate", "gmta_period", "diffusion_steps",
-        "boxes_per_scene", "sampling_steps", "dataset_root", "out_dir", "gmta",
-    ):
-        val = getattr(args, name, None)
-        if val is not None:
-            overrides[name] = val
-    if getattr(args, "branches", None) is not None:
-        overrides["branches"] = _parse_ints(args.branches, "branch")
-    if overrides:
-        cfg = RunConfig.from_json({**cfg.to_json(), **overrides})
-    return cfg
+    overrides = {k: v for k, v in vars(args).items() if k in _RUN_FIELDS and v is not None}
+    if "branches" in overrides:
+        overrides["branches"] = _parse_ints(overrides["branches"], "branch")
+    try:
+        return RunConfig.from_json({**base, **overrides})
+    except (TypeError, ValueError) as e:
+        raise _UsageError(f"bad run config: {e}") from None
 
 
 def _parse_ints(text: str, what: str) -> list[int]:

@@ -82,7 +82,7 @@ def forward_noise(z0: np.ndarray, t: int, eps: np.ndarray, schedule: DiffusionSc
 
 def detector_loss(pred_z0, z0) -> Var:
     """Half mean squared error over all box coordinates (Eq.-style l2 objective)."""
-    pred = pred_z0 if isinstance(pred_z0, Var) else ad.Tape().constant(np.asarray(pred_z0, dtype=np.float64))
+    pred = pred_z0 if isinstance(pred_z0, Var) else Var.constant(pred_z0)
     target = np.asarray(z0.value if isinstance(z0, Var) else z0, dtype=np.float64)
     if pred.value.shape != target.shape:
         raise ad.ShapeError(f"detector_loss: prediction shape {pred.value.shape} != target shape {target.shape}")

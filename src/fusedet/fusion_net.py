@@ -47,6 +47,7 @@ class FusionNetConfig:
         return 2 ** max(max(self.branches) - 1, 0)
 
     def check_image_size(self, op: str, h: int, w: int) -> None:
+        self.validate()  # an out-of-range branch id would otherwise show up as a huge size multiple
         m = self.size_multiple
         if h % m or w % m:
             raise ad.ShapeError(
@@ -205,7 +206,6 @@ def fusion_forward(
     p: dict[str, Var], x: Var, y: Var, cfg: FusionNetConfig
 ) -> tuple[Var, list[Var]]:
     """Fused image and the shared feature pyramid (for the detection head)."""
-    cfg.validate()
     cfg.check_image_size("fusion_forward", *x.value.shape[-2:])
     pyramid = backbone_forward(p, x, y, cfg)
     b0 = pixel_block(p, x, y)

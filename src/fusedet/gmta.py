@@ -136,15 +136,18 @@ def svd(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, sigma, v
 
 
+def _rank_and_kappa(sigma: np.ndarray) -> tuple[int, float]:
+    """Numerical rank of descending singular values, and sigma_1 / sigma_T (+inf below full rank)."""
+    rank = int(np.sum(sigma > RANK_TOL * sigma[0]))
+    return rank, float("inf") if rank < sigma.size else float(sigma[0] / sigma[-1])
+
+
 def condition_number(g: np.ndarray) -> float:
     """sigma_max / sigma_min; +inf when the matrix is rank deficient."""
     g = np.asarray(g, dtype=np.float64)
     if not np.any(g):
         raise ValueError("condition_number: no gradient signal (zero matrix)")
-    _, sigma, _ = svd(g)
-    if sigma[-1] <= RANK_TOL * sigma[0]:
-        return float("inf")
-    return float(sigma[0] / sigma[-1])
+    return _rank_and_kappa(svd(g)[1])[1]
 
 
 def align(g: np.ndarray) -> tuple[np.ndarray, AlignmentReport]:
@@ -158,11 +161,9 @@ def align(g: np.ndarray) -> tuple[np.ndarray, AlignmentReport]:
     if not np.any(g):
         raise ValueError("align: no gradient signal (zero matrix)")
     u, sigma, v = svd(g)
-    t = g.shape[1]
-    rank = int(np.sum(sigma > RANK_TOL * sigma[0]))
+    rank, kappa_before = _rank_and_kappa(sigma)
     scale = float(sigma[rank - 1])
     g_hat = scale * (u[:, :rank] @ v[:, :rank].T)
-    kappa_before = float("inf") if rank < t else float(sigma[0] / sigma[-1])
     _, sigma_after, _ = svd(g_hat)
     nz = sigma_after[sigma_after > RANK_TOL * sigma_after[0]]
     kappa_after = float(nz[0] / nz[-1])
@@ -251,8 +252,8 @@ def gmta_step(
         column_norms = [float(np.sqrt(g_hat[:, k] @ g_hat[:, k])) for k in range(g_hat.shape[1])]
     else:
         _, s, _ = svd(g)
-        kappa_before = kappa_after = float("inf") if s[-1] <= RANK_TOL * s[0] else float(s[0] / s[-1])
-        rank, sigma = int(np.sum(s > RANK_TOL * s[0])), [float(v) for v in s]
+        rank, kappa_before = _rank_and_kappa(s)
+        kappa_after, sigma = kappa_before, [float(v) for v in s]
     plain = float(np.linalg.norm(g_plain))
     report = StepReport(
         step, loss_u.item(), loss_d.item(), aligned, rank, kappa_before, kappa_after, sigma, norm_u, norm_d,

@@ -21,7 +21,7 @@ from . import diffusion as dif
 from . import losses
 from . import metrics as met
 from . import synthdata as sd
-from .autodiff import Tape
+from .autodiff import Var
 from .gmta import StepReport, gmta_step
 from .model import ModelConfig, ToyModel
 from .fusion_net import FusionNetConfig
@@ -47,6 +47,24 @@ class RunConfig:
     train_split: str = "train"
     eval_split: str = "val"
     out_dir: str = "out"
+
+    def __post_init__(self):
+        """Reject, by field name, settings that no run can use."""
+        w = self.task_weights
+        for key, ok, rule in (
+            ("iterations", self.iterations >= 0, "at least 0"),
+            ("gmta_period", self.gmta_period >= 1, "at least 1"),
+            ("sampling_steps", self.sampling_steps >= 1, "at least 1"),
+            ("learning_rate", math.isfinite(self.learning_rate) and self.learning_rate > 0, "finite and positive"),
+            ("task_weights", len(w) == 2 and all(math.isfinite(v) and v >= 0 for v in w) and sum(w) > 0,
+             "two finite nonnegative numbers with a positive sum"),
+        ):
+            if not ok:
+                raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
+        try:
+            FusionNetConfig(branches=self.branches).validate()
+        except ValueError as e:
+            raise ValueError(f"branches: {e}") from None
 
     def to_json(self) -> dict:
         d = asdict(self)
@@ -127,11 +145,10 @@ def joint_losses(
     rng: SplitMix64,
     n_boxes: int,
 ):
-    """Forward both heads on one tape; returns (loss_u, loss_d)."""
-    tape = Tape()
-    pvars = model.place(tape)
-    x = tape.constant(pair.visible[None])
-    y = tape.constant(pair.infrared[None])
+    """Forward both heads in one graph; returns (loss_u, loss_d)."""
+    pvars = model.params.place()
+    x = Var.constant(pair.visible[None])
+    y = Var.constant(pair.infrared[None])
     u, pyramid = model.forward_fusion(pvars, x, y)
     loss_u = losses.fusion_loss(u, pair.visible, pair.infrared, consts["mask"], weights, consts["saliency"])
     z0 = dif.pad_boxes(pair.boxes, n_boxes, rng)
@@ -193,9 +210,8 @@ def _check_finite(pair: sd.ScenePair) -> None:
 def fuse_scene(model: ToyModel, pair: sd.ScenePair) -> np.ndarray:
     """Fused image for one scene; pure function of model and inputs."""
     _check_finite(pair)
-    tape = Tape()
-    pvars = model.params.constants(tape)
-    u, _ = model.forward_fusion(pvars, tape.constant(pair.visible[None]), tape.constant(pair.infrared[None]))
+    pvars = model.params.constants()
+    u, _ = model.forward_fusion(pvars, Var.constant(pair.visible[None]), Var.constant(pair.infrared[None]))
     return u.value
 
 

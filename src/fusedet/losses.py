@@ -1,6 +1,6 @@
 """Fusion training objective: structure + object-aware pixel + multi-scale gradient terms.
 
-All loss functions return scalar tape Vars so the fused image can be
+All loss functions return scalar Vars so the fused image can be
 optimized end to end.  Source images, masks and saliency weights enter as
 constants; only the fused image (and anything upstream of it) carries
 gradients.
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Var
+from .autodiff import Var
 
 SSIM_WINDOW_SIZE = 11
 SSIM_SIGMA = 1.5
@@ -50,11 +50,8 @@ def to_luminance(img: np.ndarray) -> np.ndarray:
     raise ValueError(f"to_luminance: expected HxW or 3xHxW, got shape {img.shape}")
 
 
-def _as_var(x, like: Var | None = None) -> Var:
-    if isinstance(x, Var):
-        return x
-    tape = like.tape if like is not None else Tape()
-    return tape.constant(np.asarray(x, dtype=np.float64))
+def _as_var(x) -> Var:
+    return x if isinstance(x, Var) else Var.constant(x)
 
 
 def _check_same_shape(op: str, a: Var, b) -> None:
@@ -66,7 +63,7 @@ def _check_same_shape(op: str, a: Var, b) -> None:
 def ssim(a, b) -> Var:
     """Mean local structural similarity over Gaussian sliding windows."""
     a = _as_var(a)
-    b = _as_var(b, like=a)
+    b = _as_var(b)
     _check_same_shape("ssim", a, b)
     if a.value.ndim != 2:
         raise ad.ShapeError(f"ssim: expected single-channel HxW images, got {a.value.shape}")
@@ -84,7 +81,7 @@ def ssim(a, b) -> Var:
 def ssim_loss(u, x, y) -> Var:
     """(1 - SSIM(u,x))/2 + (1 - SSIM(u,y))/2, in [0, 2]."""
     u = _as_var(u)
-    return (1.0 - ssim(u, _as_var(x, like=u))) * 0.5 + (1.0 - ssim(u, _as_var(y, like=u))) * 0.5
+    return (1.0 - ssim(u, _as_var(x))) * 0.5 + (1.0 - ssim(u, _as_var(y))) * 0.5
 
 
 def saliency_map(img: np.ndarray) -> np.ndarray:
@@ -180,7 +177,7 @@ def fusion_loss(
     u, x, y, mask: np.ndarray, weights: LossWeights = LossWeights(),
     saliency: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Var:
-    """Weighted sum of the three fusion terms, differentiable through the tape.
+    """Weighted sum of the three fusion terms, differentiable end to end.
 
     `saliency` is `saliency_weights(x, y)`, computed here when not given.
     """

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParamSet, Tape, Var
+from .autodiff import ParamSet, Var
 from .diffusion import unscale_boxes, BOX_SCALE
 from .fusion_net import (
     FusionNetConfig,
@@ -91,9 +91,6 @@ class ToyModel:
     def create(cls, cfg: ModelConfig, seed: int) -> "ToyModel":
         return cls(cfg, _init_values(cfg, SplitMix64(seed).derive(0xB00)))
 
-    def place(self, tape: Tape) -> dict[str, Var]:
-        return self.params.place(tape)
-
     def forward_fusion(self, pvars: dict[str, Var], x: Var, y: Var) -> tuple[Var, list[Var]]:
         return fusion_forward(pvars, x, y, self.cfg.fusion)
 
@@ -110,7 +107,6 @@ class ToyModel:
         feat = pyramid[-1]
         c, h, w = feat.value.shape
         n = z_t.shape[0]
-        tape = feat.tape
         centers = unscale_boxes(z_t)[:, :2]
         cols = np.clip((centers[:, 0] * w).astype(np.intp), 0, w - 1)
         rows = np.clip((centers[:, 1] * h).astype(np.intp), 0, h - 1)
@@ -126,23 +122,22 @@ class ToyModel:
         row_grid = np.broadcast_to(((np.arange(h) + 0.5) / h)[None, :, None], (c, h, w))
         col_grid = np.broadcast_to(((np.arange(w) + 0.5) / w)[None, None, :], (c, h, w))
         denom = mass + 1e-6  # features are post-ReLU, so mass is nonnegative
-        cen_r = ad.mean(feat * tape.constant(row_grid.copy()), axis=(1, 2)) / denom
-        cen_c = ad.mean(feat * tape.constant(col_grid.copy()), axis=(1, 2)) / denom
+        cen_r = ad.mean(feat * Var.constant(row_grid.copy()), axis=(1, 2)) / denom
+        cen_c = ad.mean(feat * Var.constant(col_grid.copy()), axis=(1, 2)) / denom
         scene_vec = ad.reshape(ad.concat([squash(mass), cen_r, cen_c], axis=0), (1, 3 * c))
-        ones = tape.constant(np.ones((n, 1)))
+        ones = Var.constant(np.ones((n, 1)))
         scene_tiled = ad.matmul(ones, scene_vec)
-        zvar = tape.constant(z_t / BOX_SCALE)  # keep MLP inputs O(1)
-        temb = tape.constant(np.tile(time_embedding(t, self.cfg.diffusion_steps, self.cfg.time_embed_dim), (n, 1)))
+        zvar = Var.constant(z_t / BOX_SCALE)  # keep MLP inputs O(1)
+        temb = Var.constant(np.tile(time_embedding(t, self.cfg.diffusion_steps, self.cfg.time_embed_dim), (n, 1)))
         inp = ad.concat([local, scene_tiled, zvar, temb], axis=1)
         hdn = ad.relu(ad.linear(inp, pvars["det.l1.w"], pvars["det.l1.b"]))
         return ad.linear(hdn, pvars["det.l2.w"], pvars["det.l2.b"])
 
     def denoiser_for_scene(self, visible: np.ndarray, infrared: np.ndarray):
         """Closure (z_t, t) -> predicted boxes, with the pyramid computed once."""
-        tape = Tape()
-        pvars = self.params.constants(tape)
-        x = tape.constant(np.asarray(visible)[None])
-        y = tape.constant(np.asarray(infrared)[None])
+        pvars = self.params.constants()
+        x = Var.constant(np.asarray(visible)[None])
+        y = Var.constant(np.asarray(infrared)[None])
         pyramid = backbone_forward(pvars, x, y, self.cfg.fusion)
 
         def denoiser(z_t: np.ndarray, t: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from fusedet import gmta
 from fusedet import losses
 from fusedet import metrics as met
 from fusedet import synthdata as sd
-from fusedet.autodiff import Tape
+from fusedet.autodiff import Var
 from fusedet.cli import main as cli_main
 from fusedet.fusion_net import FusionNetConfig, fusion_forward, init_fusion_params
 from fusedet.harness import (
@@ -81,17 +81,16 @@ def test_criterion_1_gmta_correctness():
 
 
 def _fd_check(fn, x0: np.ndarray, h: float = 1e-6) -> float:
-    t = Tape()
-    x = t.leaf(x0, requires_grad=True)
+    x = Var.leaf(x0, requires_grad=True)
     (g,) = ad.gradients(fn(x), [x])
     fd = np.zeros_like(x0)
     flat, fdf = x0.reshape(-1), fd.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + h
-        fp = fn(Tape().leaf(x0)).item()
+        fp = fn(Var.leaf(x0)).item()
         flat[i] = orig - h
-        fm = fn(Tape().leaf(x0)).item()
+        fm = fn(Var.leaf(x0)).item()
         flat[i] = orig
         fdf[i] = (fp - fm) / (2 * h)
     na, nb = np.linalg.norm(g), np.linalg.norm(fd)
@@ -128,14 +127,12 @@ def test_criterion_2_gradient_fidelity():
         probe = rng.normal(size=(8, 8))
 
         def forward() -> float:
-            t = Tape()
-            pv = {k: t.leaf(v) for k, v in values.items()}
-            u, _ = fusion_forward(pv, t.constant(vis), t.constant(ir), cfg)
+            pv = {k: Var.leaf(v) for k, v in values.items()}
+            u, _ = fusion_forward(pv, Var.constant(vis), Var.constant(ir), cfg)
             return ad.tsum(u * probe).item()
 
-        t = Tape()
-        pv = {k: t.leaf(v, requires_grad=True) for k, v in values.items()}
-        u, _ = fusion_forward(pv, t.constant(vis), t.constant(ir), cfg)
+        pv = {k: Var.leaf(v, requires_grad=True) for k, v in values.items()}
+        u, _ = fusion_forward(pv, Var.constant(vis), Var.constant(ir), cfg)
         names = sorted(values)
         grads = dict(zip(names, ad.gradients(ad.tsum(u * probe), [pv[n] for n in names])))
         for _ in range(3):

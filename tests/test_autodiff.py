@@ -1,10 +1,10 @@
-"""Tape op semantics, exact gradients vs central finite differences, ParamSet plumbing."""
+"""Op semantics, exact gradients vs central finite differences, ParamSet plumbing."""
 
 import numpy as np
 import pytest
 
 from fusedet import autodiff as ad
-from fusedet.autodiff import ParamSet, Tape
+from fusedet.autodiff import ParamSet, Var
 
 
 def fd_gradient(fn, x0: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -33,15 +33,13 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
 
 class TestForwardValues:
     def test_relu_definition(self):
-        t = Tape()
-        out = ad.relu(t.constant([-1.0, 0.0, 2.0]))
+        out = ad.relu(Var.constant([-1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(out.value, [0.0, 0.0, 2.0])
 
     def test_matmul_identity(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(3, 3))
-        t = Tape()
-        out = ad.matmul(t.constant(np.eye(3)), t.constant(a))
+        out = ad.matmul(Var.constant(np.eye(3)), Var.constant(a))
         np.testing.assert_array_equal(out.value, a)
 
     def test_conv2d_against_direct_convolution(self):
@@ -68,8 +66,7 @@ class TestForwardValues:
 
         ones = np.ones((1, 3, 3))
         kernel = np.ones((1, 1, 3, 3))
-        t = Tape()
-        out = ad.conv2d(t.constant(ones), t.constant(kernel)).value
+        out = ad.conv2d(Var.constant(ones), Var.constant(kernel)).value
         assert out[0, 1, 1] == pytest.approx(9.0)
         np.testing.assert_allclose(out, conv_oracle(ones, kernel, 1), atol=1e-12)
 
@@ -77,8 +74,7 @@ class TestForwardValues:
         for stride in (1, 2):
             x = rng.normal(size=(2, 5, 6))
             w = rng.normal(size=(3, 2, 3, 3))
-            t = Tape()
-            got = ad.conv2d(t.constant(x), t.constant(w), stride=stride).value
+            got = ad.conv2d(Var.constant(x), Var.constant(w), stride=stride).value
             np.testing.assert_allclose(got, conv_oracle(x, w, stride), atol=1e-12)
 
     @pytest.mark.parametrize(
@@ -113,10 +109,9 @@ class TestForwardValues:
     def test_conv2d_one_output_channel_input_gradient_bytes(self, stride):
         """The broadcast product taken for one output channel gives the bytes of the BLAS product."""
         rng = np.random.default_rng(40 + stride)
-        t = Tape()
-        x = t.leaf(rng.normal(size=(3, 9, 8)), requires_grad=True)
+        x = Var.leaf(rng.normal(size=(3, 9, 8)), requires_grad=True)
         w = rng.normal(size=(1, 3, 3, 3))
-        out = ad.conv2d(x, t.constant(w), stride=stride)
+        out = ad.conv2d(x, Var.constant(w), stride=stride)
         g = rng.normal(size=out.value.shape)
         g[rng.random(g.shape) < 0.3] = -0.0
         (gx,) = ad.gradients(ad.tsum(out * g), [x])
@@ -133,11 +128,10 @@ class TestForwardValues:
         adding +0.0.  Every other byte must match.
         """
         rng = np.random.default_rng(50 + c_out)
-        t = Tape()
-        x = t.leaf(rng.normal(size=(6, 7, 9)), requires_grad=True)
+        x = Var.leaf(rng.normal(size=(6, 7, 9)), requires_grad=True)
         w = rng.normal(size=(c_out, 6, 1, 1))
         b = rng.normal(size=c_out)
-        out = ad.conv2d(x, t.constant(w), t.constant(b))
+        out = ad.conv2d(x, Var.constant(w), Var.constant(b))
         cols, ho, wo = ad._im2col(x.value, 1, 1, 1)
         want = (w.reshape(c_out, 6) @ cols).reshape(c_out, 7, 9)
         want += b[:, None, None]
@@ -155,10 +149,9 @@ class TestForwardValues:
     def test_conv2d_weight_gradient_bytes_of_gf_cols_t(self, c_out, k):
         """The op's transposed product (cols @ gf.T).T has the bytes of gf @ cols.T, at the fusion head's sizes."""
         rng = np.random.default_rng(60 + c_out + k)
-        t = Tape()
         x = rng.normal(size=(16, 64, 64))
-        w = t.leaf(rng.normal(size=(c_out, 16, k, k)), requires_grad=True)
-        out = ad.conv2d(t.constant(x), w)
+        w = Var.leaf(rng.normal(size=(c_out, 16, k, k)), requires_grad=True)
+        out = ad.conv2d(Var.constant(x), w)
         g = rng.normal(size=out.value.shape)
         (gw,) = ad.gradients(ad.tsum(out * g), [w])
         cols, _, _ = ad._im2col(x, k, k, 1)
@@ -174,16 +167,14 @@ class TestForwardValues:
         want[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
         ev = np.exp(v[~pos])
         want[~pos] = ev / (1.0 + ev)
-        t = Tape()
-        assert ad.sigmoid(t.constant(v)).value.tobytes() == want.tobytes()
-        assert ad.sigmoid(t.constant(v.reshape(3006 // 6, 6))).value.tobytes() == want.tobytes()
+        assert ad.sigmoid(Var.constant(v)).value.tobytes() == want.tobytes()
+        assert ad.sigmoid(Var.constant(v.reshape(3006 // 6, 6))).value.tobytes() == want.tobytes()
 
     def test_blur_matches_dense_window_sum(self):
         rng = np.random.default_rng(5)
         img = rng.normal(size=(9, 7))
         kernel = ad.gaussian_kernel(5, 1.0)
-        t = Tape()
-        got = ad.blur(t.constant(img), kernel).value
+        got = ad.blur(Var.constant(img), kernel).value
         h, w = img.shape
         xp = np.zeros((h + 4, w + 4))
         xp[2:2 + h, 2:2 + w] = img
@@ -223,8 +214,7 @@ class TestForwardValues:
             ad.correlate(img, kernel, "full")
 
     def test_upsample_nearest(self):
-        t = Tape()
-        x = t.constant([[1.0, 2.0], [3.0, 4.0]])
+        x = Var.constant([[1.0, 2.0], [3.0, 4.0]])
         out = ad.upsample_nearest(x, 2).value
         assert out.shape == (4, 4)
         np.testing.assert_array_equal(out[:2, :2], np.ones((2, 2)))
@@ -233,8 +223,7 @@ class TestForwardValues:
     @pytest.mark.parametrize("shape, factor", [((3, 5), 2), ((4, 6, 5), 2), ((2, 4, 3), 3), ((16, 8, 8), 4), ((1, 2, 3), 7)])
     def test_upsample_backward_bytes_of_numpy_block_sum(self, shape, factor):
         rng = np.random.default_rng(factor + len(shape))
-        t = Tape()
-        x = t.leaf(rng.normal(size=shape), requires_grad=True)
+        x = Var.leaf(rng.normal(size=shape), requires_grad=True)
         up = ad.upsample_nearest(x, factor)
         g = rng.normal(size=up.value.shape)
         g[rng.random(g.shape) < 0.3] = -0.0  # signed zeros expose a change of summation order
@@ -244,40 +233,34 @@ class TestForwardValues:
         assert gx.tobytes() == want.tobytes()
 
     def test_division_by_zero_raises(self):
-        t = Tape()
         with pytest.raises(ValueError, match="division by zero"):
-            ad.div(t.constant([1.0]), t.constant([0.0]))
+            ad.div(Var.constant([1.0]), Var.constant([0.0]))
 
     def test_shape_mismatch_names_op_and_shapes(self):
-        t = Tape()
         with pytest.raises(ad.ShapeError, match=r"add.*2x2.*3"):
-            ad.add(t.constant(np.zeros((2, 2))), t.constant(np.zeros(3)))
+            ad.add(Var.constant(np.zeros((2, 2))), Var.constant(np.zeros(3)))
 
 
 class TestBackward:
     def test_sum_of_squares(self):
-        t = Tape()
-        x = t.leaf([1.0, 2.0, 3.0], requires_grad=True)
+        x = Var.leaf([1.0, 2.0, 3.0], requires_grad=True)
         root = ad.tsum(x * x)
         (g,) = ad.gradients(root, [x])
         np.testing.assert_allclose(g, [2.0, 4.0, 6.0])
 
     def test_sigmoid_derivative_at_zero(self):
-        t = Tape()
-        x = t.leaf(0.0, requires_grad=True)
+        x = Var.leaf(0.0, requires_grad=True)
         (g,) = ad.gradients(ad.sigmoid(x), [x])
         assert g == pytest.approx(0.25)
 
     def test_non_scalar_root_rejected(self):
-        t = Tape()
-        x = t.leaf([1.0, 2.0], requires_grad=True)
+        x = Var.leaf([1.0, 2.0], requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):
             ad.gradients(x * x, [x])
 
     def test_unreached_param_gets_zeros(self):
-        t = Tape()
-        x = t.leaf([1.0, 2.0], requires_grad=True)
-        y = t.leaf([[3.0, 4.0]], requires_grad=True)
+        x = Var.leaf([1.0, 2.0], requires_grad=True)
+        y = Var.leaf([[3.0, 4.0]], requires_grad=True)
         (gx, gy) = ad.gradients(ad.tsum(x), [x, y])
         np.testing.assert_array_equal(gx, [1.0, 1.0])
         np.testing.assert_array_equal(gy, np.zeros((1, 2)))
@@ -288,13 +271,12 @@ class TestBackward:
         a, b = 2.5, -1.25
 
         def build(x_arr):
-            t = Tape()
-            x = t.leaf(x_arr, requires_grad=True)
+            x = Var.leaf(x_arr, requires_grad=True)
             f = ad.mean(ad.square(x))
             g = ad.tsum(ad.absolute(x * 0.5))
-            return t, x, f, g
+            return x, f, g
 
-        t, x, f, g = build(x0)
+        x, f, g = build(x0)
         (g_combined,) = ad.gradients(f * a + g * b, [x])
         (gf,) = ad.gradients(f, [x])
         (gg,) = ad.gradients(g, [x])
@@ -303,9 +285,8 @@ class TestBackward:
     def test_tape_determinism(self):
         def run():
             rng = np.random.default_rng(23)
-            t = Tape()
-            x = t.leaf(rng.normal(size=(3, 3)), requires_grad=True)
-            w = t.leaf(rng.normal(size=(3, 3)), requires_grad=True)
+            x = Var.leaf(rng.normal(size=(3, 3)), requires_grad=True)
+            w = Var.leaf(rng.normal(size=(3, 3)), requires_grad=True)
             root = ad.mean(ad.sigmoid(ad.matmul(x, w)))
             return root.value.copy(), ad.gradients(root, [x, w])
 
@@ -315,6 +296,37 @@ class TestBackward:
         assert np.array_equal(gx1, gx2)
         assert np.array_equal(gw1, gw2)
 
+    def test_vars_from_two_forward_passes_combine(self):
+        rng = np.random.default_rng(29)
+        x0, w0 = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+
+        def first(x):
+            return ad.sigmoid(ad.matmul(x, x))
+
+        def second(w):
+            return ad.relu(w) * 2.0 + ad.square(w)
+
+        def combine(x, a, b):
+            # x re-enters after both passes, so the graph interleaves their nodes
+            return ad.mean(ad.square(a * b + x))
+
+        x = Var.leaf(x0, requires_grad=True)
+        a = first(x)
+        w = Var.leaf(w0, requires_grad=True)
+        b = second(w)
+        gx, gw = ad.gradients(combine(x, a, b), [x, w])
+
+        def f_x(arr):
+            xv = Var.leaf(arr)
+            return combine(xv, first(xv), second(Var.leaf(w0))).item()
+
+        def f_w(arr):
+            xv = Var.leaf(x0)
+            return combine(xv, first(xv), second(Var.leaf(arr))).item()
+
+        assert rel_err(gx, fd_gradient(f_x, x0.copy())) < 1e-6
+        assert rel_err(gw, fd_gradient(f_w, w0.copy())) < 1e-6
+
 
 def _scalarize(v):
     return ad.mean(v) if v.value.size > 1 else v
@@ -322,19 +334,19 @@ def _scalarize(v):
 
 # builders: x (input under test) -> scalar Var; domains chosen away from kinks
 _OP_GRAPHS = {
-    "add": lambda t, x: _scalarize(ad.add(x, t.constant(np.ones_like(x.value)))),
-    "sub": lambda t, x: _scalarize(ad.sub(x, t.constant(np.full_like(x.value, 0.3)))),
-    "mul": lambda t, x: _scalarize(ad.mul(x, x)),
-    "div": lambda t, x: _scalarize(ad.div(x, t.constant(np.full_like(x.value, 2.0)))),
-    "scalar_broadcast": lambda t, x: _scalarize(x * 3.0 + 1.0),
-    "matmul": lambda t, x: _scalarize(ad.matmul(x, x)),
-    "relu": lambda t, x: _scalarize(ad.relu(x)),
-    "sigmoid": lambda t, x: _scalarize(ad.sigmoid(x)),
-    "mean_axis": lambda t, x: ad.mean(ad.square(ad.mean(x, axis=0))),
-    "sum": lambda t, x: ad.tsum(ad.square(x)) * 0.25,
-    "abs": lambda t, x: _scalarize(ad.absolute(x)),
-    "square": lambda t, x: _scalarize(ad.square(x)),
-    "reshape": lambda t, x: _scalarize(ad.reshape(x, (x.value.size,))),
+    "add": lambda x: _scalarize(ad.add(x, Var.constant(np.ones_like(x.value)))),
+    "sub": lambda x: _scalarize(ad.sub(x, Var.constant(np.full_like(x.value, 0.3)))),
+    "mul": lambda x: _scalarize(ad.mul(x, x)),
+    "div": lambda x: _scalarize(ad.div(x, Var.constant(np.full_like(x.value, 2.0)))),
+    "scalar_broadcast": lambda x: _scalarize(x * 3.0 + 1.0),
+    "matmul": lambda x: _scalarize(ad.matmul(x, x)),
+    "relu": lambda x: _scalarize(ad.relu(x)),
+    "sigmoid": lambda x: _scalarize(ad.sigmoid(x)),
+    "mean_axis": lambda x: ad.mean(ad.square(ad.mean(x, axis=0))),
+    "sum": lambda x: ad.tsum(ad.square(x)) * 0.25,
+    "abs": lambda x: _scalarize(ad.absolute(x)),
+    "square": lambda x: _scalarize(ad.square(x)),
+    "reshape": lambda x: _scalarize(ad.reshape(x, (x.value.size,))),
 }
 
 
@@ -345,13 +357,11 @@ def test_op_gradient_matches_finite_differences(name):
         x0 = rng.normal(size=(4, 4)) + 0.5
 
         def f(arr):
-            t = Tape()
-            x = t.leaf(arr, requires_grad=True)
-            return _OP_GRAPHS[name](t, x).item()
+            x = Var.leaf(arr, requires_grad=True)
+            return _OP_GRAPHS[name](x).item()
 
-        t = Tape()
-        x = t.leaf(x0, requires_grad=True)
-        root = _OP_GRAPHS[name](t, x)
+        x = Var.leaf(x0, requires_grad=True)
+        root = _OP_GRAPHS[name](x)
         (g,) = ad.gradients(root, [x])
         fd = fd_gradient(f, x0.copy())
         assert rel_err(g, fd) < 1e-5, f"{name}: rel err {rel_err(g, fd)}"
@@ -360,51 +370,51 @@ def test_op_gradient_matches_finite_differences(name):
 _STRUCTURED = {
     "conv2d_s1": {
         "shapes": {"x": (2, 5, 5), "w": (3, 2, 3, 3), "b": (3,)},
-        "build": lambda t, v: ad.mean(ad.square(ad.conv2d(v["x"], v["w"], v["b"], stride=1))),
+        "build": lambda v: ad.mean(ad.square(ad.conv2d(v["x"], v["w"], v["b"], stride=1))),
     },
     "conv2d_1x1": {
         "shapes": {"x": (3, 4, 5), "w": (2, 3, 1, 1), "b": (2,)},
-        "build": lambda t, v: ad.mean(ad.square(ad.conv2d(v["x"], v["w"], v["b"], stride=1))),
+        "build": lambda v: ad.mean(ad.square(ad.conv2d(v["x"], v["w"], v["b"], stride=1))),
     },
     "conv2d_s2": {
         "shapes": {"x": (2, 6, 6), "w": (2, 2, 3, 3), "b": (2,)},
-        "build": lambda t, v: ad.mean(ad.square(ad.conv2d(v["x"], v["w"], v["b"], stride=2))),
+        "build": lambda v: ad.mean(ad.square(ad.conv2d(v["x"], v["w"], v["b"], stride=2))),
     },
     "blur": {
         "shapes": {"x": (6, 6)},
-        "build": lambda t, v: ad.mean(ad.square(ad.blur(v["x"], ad.gaussian_kernel(5, 1.0)))),
+        "build": lambda v: ad.mean(ad.square(ad.blur(v["x"], ad.gaussian_kernel(5, 1.0)))),
     },
     "upsample": {
         "shapes": {"x": (2, 3, 3)},
-        "build": lambda t, v: ad.mean(ad.square(ad.upsample_nearest(v["x"], 2))),
+        "build": lambda v: ad.mean(ad.square(ad.upsample_nearest(v["x"], 2))),
     },
     "concat": {
         "shapes": {"x": (2, 3, 3), "y": (1, 3, 3)},
-        "build": lambda t, v: ad.mean(ad.square(ad.concat([v["x"], v["y"]], axis=0))),
+        "build": lambda v: ad.mean(ad.square(ad.concat([v["x"], v["y"]], axis=0))),
     },
     "spatial_norm": {
         "shapes": {"x": (3, 4, 4), "gamma": (3,), "beta": (3,)},
         # weight by a fixed field so the objective is sensitive to where values sit
-        "build": lambda t, v: ad.mean(
+        "build": lambda v: ad.mean(
             ad.square(
                 ad.spatial_norm(v["x"], v["gamma"], v["beta"])
-                * t.constant(np.linspace(-1.0, 1.0, 48).reshape(3, 4, 4))
+                * Var.constant(np.linspace(-1.0, 1.0, 48).reshape(3, 4, 4))
             )
         ),
     },
     "rowwise_outer": {
         "shapes": {"x": (2, 6), "y": (3, 6)},
-        "build": lambda t, v: ad.mean(ad.square(ad.rowwise_outer(v["x"], v["y"]))),
+        "build": lambda v: ad.mean(ad.square(ad.rowwise_outer(v["x"], v["y"]))),
     },
     "gather": {
         "shapes": {"x": (3, 4, 4)},
-        "build": lambda t, v: ad.mean(
+        "build": lambda v: ad.mean(
             ad.square(ad.gather_pixels(v["x"], np.array([0, 1, 1, 3]), np.array([2, 0, 0, 3])))
         ),
     },
     "linear": {
         "shapes": {"x": (4, 3), "w": (3, 2), "b": (2,)},
-        "build": lambda t, v: ad.mean(ad.square(ad.linear(v["x"], v["w"], v["b"]))),
+        "build": lambda v: ad.mean(ad.square(ad.linear(v["x"], v["w"], v["b"]))),
     },
 }
 
@@ -414,16 +424,14 @@ def test_structured_op_gradients(name):
     spec = _STRUCTURED[name]
     rng = np.random.default_rng(hash(name) % 2**32)
     arrays = {k: rng.normal(size=s) * 0.7 + 0.2 for k, s in spec["shapes"].items()}
-    t = Tape()
-    lifted = {k: t.leaf(a, requires_grad=True) for k, a in arrays.items()}
-    root = spec["build"](t, lifted)
+    lifted = {k: Var.leaf(a, requires_grad=True) for k, a in arrays.items()}
+    root = spec["build"](lifted)
     grads = dict(zip(arrays, ad.gradients(root, list(lifted.values()))))
 
     for key in arrays:
         def f(arr, key=key):
-            t2 = Tape()
-            lv = {k: t2.leaf(arr if k == key else arrays[k], requires_grad=False) for k in arrays}
-            return spec["build"](t2, lv).item()
+            lv = {k: Var.leaf(arr if k == key else arrays[k], requires_grad=False) for k in arrays}
+            return spec["build"](lv).item()
 
         fd = fd_gradient(f, arrays[key].copy())
         assert rel_err(grads[key], fd) < 1e-5, f"{name}/{key}: rel err {rel_err(grads[key], fd)}"
@@ -439,19 +447,17 @@ def test_random_composite_graphs_match_finite_differences():
         x0 = rng.normal(size=(4, 4)) * 0.6 + 0.8
 
         def f(arr):
-            t = Tape()
-            x = t.leaf(arr, requires_grad=True)
+            x = Var.leaf(arr, requires_grad=True)
             acc = None
             for nm in names:
-                term = _OP_GRAPHS[nm](t, x)
+                term = _OP_GRAPHS[nm](x)
                 acc = term if acc is None else acc + term
             return acc.item()
 
-        t = Tape()
-        x = t.leaf(x0, requires_grad=True)
+        x = Var.leaf(x0, requires_grad=True)
         acc = None
         for nm in names:
-            term = _OP_GRAPHS[nm](t, x)
+            term = _OP_GRAPHS[nm](x)
             acc = term if acc is None else acc + term
         (g,) = ad.gradients(acc, [x])
         fd = fd_gradient(f, x0.copy())
@@ -487,8 +493,7 @@ class TestParamSet:
 
     def test_backward_over_params(self):
         ps = ParamSet({"w": np.array([2.0, 3.0]), "unused": np.zeros((2, 2))}, shared=["w"])
-        t = Tape()
-        pv = ps.place(t)
+        pv = ps.place()
         root = ad.tsum(ad.square(pv["w"]))
         grads = ad.backward(root, ps)
         np.testing.assert_allclose(grads["w"], [4.0, 6.0])

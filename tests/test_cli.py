@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, config overrides, byte-determinism."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -8,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fusedet import cli
 from fusedet import synthdata as sd
 from fusedet.cli import main
+from fusedet.harness import RunConfig
 from fusedet.model import ModelConfig, ToyModel
 
 
@@ -43,6 +46,73 @@ class TestExitCodes:
     def test_eval_requires_inputs(self, tmp_path, tiny_dataset):
         rc = main(["eval", "--dataset-root", str(tiny_dataset), "--split", "val", "--out", str(tmp_path)])
         assert rc == 1
+
+
+class TestRunSettings:
+    """Settings no run can use are usage errors naming the key, found before any data is read."""
+
+    @pytest.mark.parametrize("argv, key", [
+        (["train", "--gmta-period", "0"], "gmta_period"),
+        (["train", "--iterations", "-1"], "iterations"),
+        (["train", "--learning-rate", "-5"], "learning_rate"),
+        (["train", "--learning-rate", "nan"], "learning_rate"),
+        (["detect", "--model", "m.json", "--steps", "0"], "sampling_steps"),
+        (["train", "--branches", "0,9"], "branch ids [9]"),
+        (["train", "--branches", "1,2"], "pixel branch 0"),
+    ])
+    def test_bad_flag_is_usage_error(self, tmp_path, capsys, argv, key):
+        # the dataset root does not exist: reading it first would exit 2
+        rc = main([*argv, "--dataset-root", str(tmp_path / "missing"), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weights", [[-1, 2], [0, 0], [1, float("inf")], [1, 2, 3]])
+    def test_bad_task_weights_in_config_is_usage_error(self, tmp_path, capsys, weights):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"task_weights": weights}))
+        rc = main(["train", "--config", str(cfg), "--dataset-root", str(tmp_path / "missing"), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "task_weights" in capsys.readouterr().err
+
+    def test_zero_iterations_stay_legal(self):
+        assert RunConfig(iterations=0).iterations == 0
+
+
+# a flag value per RunConfig field, and a config-file value it must override
+_FLAG_VALUES = {
+    "seed": ("5", 5, 1),
+    "iterations": ("7", 7, 1),
+    "learning_rate": ("0.25", 0.25, 1.0),
+    "gmta_period": ("3", 3, 1),
+    "sampling_steps": ("2", 2, 1),
+    "branches": ("0,2", (0, 2), [0]),
+    "dataset_root": ("flag-data", "flag-data", "file-data"),
+    "out_dir": ("flag-out", "flag-out", "file-out"),
+}
+
+
+def test_every_flag_named_after_a_run_config_field_reaches_the_config(tmp_path):
+    parser = cli._build_parser()
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    reached = set()
+    for command, sub in subs.choices.items():
+        required = [arg for a in sub._actions if a.required for arg in (a.option_strings[0], "x")]
+        for action in sub._actions:
+            if action.dest not in fields:
+                continue
+            if action.nargs == 0:  # --gmta / --no-gmta store a constant
+                flag, want, file_value = [], action.const, not action.const
+            else:
+                text, want, file_value = _FLAG_VALUES[action.dest]
+                flag = [text]
+            cfg_path = tmp_path / f"{command}-{action.dest}.json"
+            cfg_path.write_text(json.dumps({action.dest: file_value}))
+            args = parser.parse_args([command, *required, "--config", str(cfg_path), action.option_strings[0], *flag])
+            assert getattr(cli._load_config(args), action.dest) == want, (command, action.option_strings)
+            reached.add((command, action.dest))
+    assert {("train", "gmta"), ("train", "branches"), ("detect", "sampling_steps"), ("exp-gmta", "iterations")} <= reached
+    assert {dest for _, dest in reached} == set(_FLAG_VALUES) | {"gmta"}
 
 
 class TestGen:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fusedet import diffusion as dif
-from fusedet.autodiff import Tape
+from fusedet.autodiff import Var
 from fusedet.rng import SplitMix64
 
 
@@ -116,8 +116,7 @@ class TestDetectorLoss:
             assert mid <= avg + 1e-12
 
     def test_differentiable_through_tape(self):
-        t = Tape()
-        pred = t.leaf(np.full((1, 4), 0.7), requires_grad=True)
+        pred = Var.leaf(np.full((1, 4), 0.7), requires_grad=True)
         from fusedet import autodiff as ad
 
         (g,) = ad.gradients(dif.detector_loss(pred, np.full((1, 4), 0.2)), [pred])

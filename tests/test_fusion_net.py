@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fusedet import autodiff as ad
 from fusedet import fusion_net as fn
-from fusedet.autodiff import Tape
+from fusedet.autodiff import Var
 from fusedet.model import ModelConfig, ToyModel
 from fusedet.rng import SplitMix64
 from tests.test_autodiff import rel_err
@@ -16,18 +16,17 @@ from tests.test_autodiff import rel_err
 
 def _place(cfg, seed=0):
     values = fn.init_fusion_params(cfg, SplitMix64(seed))
-    t = Tape()
-    return t, {k: t.leaf(v, requires_grad=True) for k, v in values.items()}, values
+    return {k: Var.leaf(v, requires_grad=True) for k, v in values.items()}, values
 
 
 class TestBackbone:
     def test_identical_modalities_double_single_pass(self):
         cfg = fn.FusionNetConfig()
-        t, pv, _ = _place(cfg)
+        pv, _ = _place(cfg)
         rng = np.random.default_rng(0)
         img = rng.uniform(size=(1, 16, 16))
-        x = t.constant(img)
-        pyramid = fn.backbone_forward(pv, x, t.constant(img.copy()), cfg)
+        x = Var.constant(img)
+        pyramid = fn.backbone_forward(pv, x, Var.constant(img.copy()), cfg)
         single = fn._backbone_single(pv, x, cfg)
         for lvl, one in zip(pyramid, single):
             np.testing.assert_allclose(lvl.value, 2.0 * one.value, atol=1e-12)
@@ -38,16 +37,15 @@ class TestBackbone:
         for k in values:
             if k.startswith("backbone.") and k.endswith(".b"):
                 values[k] = np.zeros_like(values[k])
-        t = Tape()
-        pv = {k: t.leaf(v) for k, v in values.items()}
-        zero = t.constant(np.zeros((1, 16, 16)))
+        pv = {k: Var.leaf(v) for k, v in values.items()}
+        zero = Var.constant(np.zeros((1, 16, 16)))
         for lvl in fn.backbone_forward(pv, zero, zero, cfg):
             np.testing.assert_array_equal(lvl.value, 0.0)
 
     def test_pyramid_shapes(self):
         cfg = fn.FusionNetConfig()
-        t, pv, _ = _place(cfg)
-        img = t.constant(np.random.default_rng(2).uniform(size=(1, 32, 32)))
+        pv, _ = _place(cfg)
+        img = Var.constant(np.random.default_rng(2).uniform(size=(1, 32, 32)))
         pyramid = fn.backbone_forward(pv, img, img, cfg)
         assert [lvl.value.shape for lvl in pyramid] == [
             (8, 32, 32), (8, 16, 16), (16, 8, 8), (32, 4, 4),
@@ -55,9 +53,9 @@ class TestBackbone:
 
     def test_spatial_mismatch(self):
         cfg = fn.FusionNetConfig()
-        t, pv, _ = _place(cfg)
+        pv, _ = _place(cfg)
         with pytest.raises(ad.ShapeError, match="modality shapes"):
-            fn.backbone_forward(pv, t.constant(np.zeros((1, 8, 8))), t.constant(np.zeros((1, 9, 9))), cfg)
+            fn.backbone_forward(pv, Var.constant(np.zeros((1, 8, 8))), Var.constant(np.zeros((1, 9, 9))), cfg)
 
 
 # side multiple the deepest enabled branch needs to upsample back to full size
@@ -78,9 +76,8 @@ def test_fusion_forward_size_rule(h, w, branches):
     """Either the fused image has the input's shape, or the size is rejected up front."""
     cfg = fn.FusionNetConfig(branches=branches)
     m = _SIZE_MULTIPLE[max(branches)]
-    t = Tape()
-    pv = {k: t.constant(v) for k, v in fn.init_fusion_params(cfg, SplitMix64(0)).items()}
-    img = t.constant(np.full((1, h, w), 0.5))
+    pv = {k: Var.constant(v) for k, v in fn.init_fusion_params(cfg, SplitMix64(0)).items()}
+    img = Var.constant(np.full((1, h, w), 0.5))
     try:
         u, _ = fn.fusion_forward(pv, img, img, cfg)
     except ad.ShapeError as e:
@@ -93,20 +90,18 @@ def test_fusion_forward_size_rule(h, w, branches):
 
 class TestRegionMask:
     def test_orthogonal_prompt_channel_stays_zero(self):
-        t = Tape()
-        phi = t.constant(np.stack([np.ones((3, 3)), np.zeros((3, 3))]))  # features in channel 0
-        prompts = t.constant(np.array([[0.0, 1.0], [1.0, 0.0]]))  # first prompt orthogonal
-        gamma = t.constant(np.ones(2))
-        beta = t.constant(np.zeros(2))
+        phi = Var.constant(np.stack([np.ones((3, 3)), np.zeros((3, 3))]))  # features in channel 0
+        prompts = Var.constant(np.array([[0.0, 1.0], [1.0, 0.0]]))  # first prompt orthogonal
+        gamma = Var.constant(np.ones(2))
+        beta = Var.constant(np.zeros(2))
         masks = fn.region_mask(prompts, phi, gamma, beta)
         np.testing.assert_array_equal(masks.value[0], 0.0)
 
     def test_single_location_degenerates_to_affine(self):
-        t = Tape()
-        phi = t.constant(np.full((2, 1, 1), 3.0))
-        prompts = t.constant(np.array([[1.0, 1.0]]))
-        gamma = t.constant(np.array([5.0]))
-        beta = t.constant(np.array([0.25]))
+        phi = Var.constant(np.full((2, 1, 1), 3.0))
+        prompts = Var.constant(np.array([[1.0, 1.0]]))
+        gamma = Var.constant(np.array([5.0]))
+        beta = Var.constant(np.array([0.25]))
         masks = fn.region_mask(prompts, phi, gamma, beta)
         # no spatial statistics: normalized value is 0, output is ReLU(beta)
         np.testing.assert_allclose(masks.value, [[[0.25]]])
@@ -117,9 +112,8 @@ class TestRegionMask:
         prompts_arr = rng.normal(size=(2, 4))
         gamma_arr = rng.uniform(0.5, 1.5, size=2)
         beta_arr = rng.normal(size=2) * 0.1
-        t = Tape()
         got = fn.region_mask(
-            t.constant(prompts_arr), t.constant(phi_arr), t.constant(gamma_arr), t.constant(beta_arr)
+            Var.constant(prompts_arr), Var.constant(phi_arr), Var.constant(gamma_arr), Var.constant(beta_arr)
         ).value
 
         scores = np.zeros((2, 3, 3))
@@ -138,21 +132,19 @@ class TestRegionMask:
 
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(4)
-        t = Tape()
         masks = fn.region_mask(
-            t.constant(rng.normal(size=(4, 8))),
-            t.constant(rng.normal(size=(8, 5, 5))),
-            t.constant(rng.uniform(0.5, 2, size=4)),
-            t.constant(rng.normal(size=4)),
+            Var.constant(rng.normal(size=(4, 8))),
+            Var.constant(rng.normal(size=(8, 5, 5))),
+            Var.constant(rng.uniform(0.5, 2, size=4)),
+            Var.constant(rng.normal(size=4)),
         )
         assert np.all(masks.value >= 0.0)
 
     def test_width_mismatch(self):
-        t = Tape()
         with pytest.raises(ad.ShapeError, match="prompt width"):
             fn.region_mask(
-                t.constant(np.zeros((2, 5))), t.constant(np.zeros((4, 3, 3))),
-                t.constant(np.ones(2)), t.constant(np.zeros(2)),
+                Var.constant(np.zeros((2, 5))), Var.constant(np.zeros((4, 3, 3))),
+                Var.constant(np.ones(2)), Var.constant(np.zeros(2)),
             )
 
 
@@ -160,23 +152,20 @@ class TestRegionRepresentation:
     def test_all_ones_mask_is_identity(self):
         rng = np.random.default_rng(5)
         phi = rng.normal(size=(3, 4, 4))
-        t = Tape()
-        out = fn.region_representation(t.constant(np.ones((1, 4, 4))), t.constant(phi))
+        out = fn.region_representation(Var.constant(np.ones((1, 4, 4))), Var.constant(phi))
         np.testing.assert_array_equal(out.value, phi)
 
     def test_zero_mask_gives_zero_block(self):
         rng = np.random.default_rng(6)
         phi = rng.normal(size=(3, 4, 4))
-        t = Tape()
-        out = fn.region_representation(t.constant(np.zeros((2, 4, 4))), t.constant(phi))
+        out = fn.region_representation(Var.constant(np.zeros((2, 4, 4))), Var.constant(phi))
         np.testing.assert_array_equal(out.value, np.zeros((6, 4, 4)))
 
     def test_matches_elementwise_oracle_and_channel_law(self):
         rng = np.random.default_rng(7)
         masks = rng.uniform(size=(3, 4, 4))
         phi = rng.normal(size=(5, 4, 4))
-        t = Tape()
-        out = fn.region_representation(t.constant(masks), t.constant(phi)).value
+        out = fn.region_representation(Var.constant(masks), Var.constant(phi)).value
         assert out.shape == (15, 4, 4)  # channels == M * C2
         for m in range(3):
             for c in range(5):
@@ -190,9 +179,8 @@ class TestAssemble:
         for k in values:
             if k.endswith(".b") or k.endswith(".beta"):
                 values[k] = np.zeros_like(values[k])
-        t = Tape()
-        pv = {k: t.leaf(v) for k, v in values.items()}
-        zero = t.constant(np.zeros((1, 8, 8)))
+        pv = {k: Var.leaf(v) for k, v in values.items()}
+        zero = Var.constant(np.zeros((1, 8, 8)))
         u, _ = fn.fusion_forward(pv, zero, zero, cfg)
         np.testing.assert_allclose(u.value, 0.5, atol=1e-12)
 
@@ -202,25 +190,23 @@ class TestAssemble:
         # force the gate closed: huge negative bias saturates the sigmoid
         values["fuse.gate.w"] = np.zeros_like(values["fuse.gate.w"])
         values["fuse.gate.b"] = np.full_like(values["fuse.gate.b"], -745.0)
-        t = Tape()
-        pv = {k: t.leaf(v) for k, v in values.items()}
+        pv = {k: Var.leaf(v) for k, v in values.items()}
         rng = np.random.default_rng(10)
-        x = t.constant(rng.uniform(size=(1, 8, 8)))
-        y = t.constant(rng.uniform(size=(1, 8, 8)))
+        x = Var.constant(rng.uniform(size=(1, 8, 8)))
+        y = Var.constant(rng.uniform(size=(1, 8, 8)))
         u_gated, _ = fn.fusion_forward(pv, x, y, cfg)
 
         cfg0 = fn.FusionNetConfig(branches=(0,))
-        t0 = Tape()
-        pv0 = {k: t0.leaf(v) for k, v in values.items() if not k.startswith("fuse.branch") and k not in ("fuse.mix.w", "fuse.mix.b", "fuse.gate.w", "fuse.gate.b")}
-        u_plain, _ = fn.fusion_forward(pv0, t0.constant(x.value), t0.constant(y.value), cfg0)
+        pv0 = {k: Var.leaf(v) for k, v in values.items() if not k.startswith("fuse.branch") and k not in ("fuse.mix.w", "fuse.mix.b", "fuse.gate.w", "fuse.gate.b")}
+        u_plain, _ = fn.fusion_forward(pv0, Var.constant(x.value), Var.constant(y.value), cfg0)
         np.testing.assert_allclose(u_gated.value, u_plain.value, atol=1e-12)
 
     def test_output_in_unit_interval(self):
         cfg = fn.FusionNetConfig()
-        t, pv, _ = _place(cfg, seed=11)
+        pv, _ = _place(cfg, seed=11)
         rng = np.random.default_rng(11)
         u, _ = fn.fusion_forward(
-            pv, t.constant(rng.uniform(size=(1, 16, 16))), t.constant(rng.uniform(size=(1, 16, 16))), cfg
+            pv, Var.constant(rng.uniform(size=(1, 16, 16))), Var.constant(rng.uniform(size=(1, 16, 16))), cfg
         )
         assert np.all(u.value >= 0.0) and np.all(u.value <= 1.0)
         assert u.value.shape == (16, 16)
@@ -232,6 +218,10 @@ class TestAssemble:
     def test_branch_ids_validated(self):
         with pytest.raises(ValueError, match="branch ids"):
             fn.FusionNetConfig(branches=(0, 7)).validate()
+
+    def test_image_size_check_names_a_bad_branch_id_first(self):
+        with pytest.raises(ValueError, match=r"branch ids \[9\]"):
+            fn.FusionNetConfig(branches=(0, 9)).check_image_size("train", 64, 64)
 
 
 def _assemble_upsample_first(p, b0, branch_outs):
@@ -257,8 +247,8 @@ def test_align_before_upsample_keeps_the_fused_bytes():
     x0, y0 = rng.uniform(size=(1, 64, 64)), rng.uniform(size=(1, 64, 64))
     results = []
     for assemble in (fn.assemble_fuse, _assemble_upsample_first):
-        t, pv, _ = _place(cfg, seed=12)
-        x, y = t.constant(x0), t.constant(y0)
+        pv, _ = _place(cfg, seed=12)
+        x, y = Var.constant(x0), Var.constant(y0)
         pyramid = fn.backbone_forward(pv, x, y, cfg)
         branch_outs = [(l, fn.branch_output(pv, pyramid[l - 1], l)) for l in (1, 2, 3)]
         u = assemble(pv, fn.pixel_block(pv, x, y), branch_outs)
@@ -280,9 +270,8 @@ class TestCoupling:
         z_t = rng.normals((4, 4))
 
         def outputs():
-            t = Tape()
-            pv = model.place(t)
-            u, pyramid = model.forward_fusion(pv, t.constant(vis[None]), t.constant(ir[None]))
+            pv = model.params.place()
+            u, pyramid = model.forward_fusion(pv, Var.constant(vis[None]), Var.constant(ir[None]))
             pred = model.forward_denoiser(pv, pyramid, z_t, 500)
             return u.value.copy(), pred.value.copy()
 
@@ -310,14 +299,12 @@ def test_full_forward_gradients_match_finite_differences():
     probe = rng.normal(size=(8, 8))
 
     def forward(vals) -> float:
-        t = Tape()
-        pv = {k: t.leaf(v) for k, v in vals.items()}
-        u, _ = fn.fusion_forward(pv, t.constant(vis), t.constant(ir), cfg)
+        pv = {k: Var.leaf(v) for k, v in vals.items()}
+        u, _ = fn.fusion_forward(pv, Var.constant(vis), Var.constant(ir), cfg)
         return ad.tsum(u * probe).item()
 
-    t = Tape()
-    pv = {k: t.leaf(v, requires_grad=True) for k, v in values.items()}
-    u, _ = fn.fusion_forward(pv, t.constant(vis), t.constant(ir), cfg)
+    pv = {k: Var.leaf(v, requires_grad=True) for k, v in values.items()}
+    u, _ = fn.fusion_forward(pv, Var.constant(vis), Var.constant(ir), cfg)
     root = ad.tsum(u * probe)
     names = sorted(values)
     grads = dict(zip(names, ad.gradients(root, [pv[n] for n in names])))

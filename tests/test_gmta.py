@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fusedet import autodiff as ad
 from fusedet import gmta
-from fusedet.autodiff import ParamSet, Tape
+from fusedet.autodiff import ParamSet
 
 
 def quadratic_singular_values(g: np.ndarray) -> np.ndarray:
@@ -218,8 +218,7 @@ def _quadratic_setup(shared_target_u, shared_target_d):
         {"shared.w": np.array([1.0, 1.0]), "head_u.w": np.array([0.5]), "head_d.w": np.array([0.25])},
         shared=["shared.w"],
     )
-    t = Tape()
-    pv = ps.place(t)
+    pv = ps.place()
     loss_u = ad.tsum(ad.square(pv["shared.w"] - np.asarray(shared_target_u))) + ad.tsum(
         ad.square(pv["head_u.w"])
     )
@@ -268,7 +267,6 @@ class TestGmtaStep:
     def test_zero_detection_gradient_takes_rank_one_fallback(self):
         ps, lu, _ = _quadratic_setup([0.0, 2.0], [2.0, 0.0])
         # detection loss that never touches the shared vector
-        t = lu.tape
         ld = ad.tsum(ad.square(ps.vars["head_d.w"]))
         rep = gmta.gmta_step(ps, lu, ld, (0.5, 0.5), lr=0.1, step=0, period=1)
         assert rep.rank == 1

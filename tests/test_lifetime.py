@@ -1,4 +1,4 @@
-"""Tape lifetime: graphs are freed by reference counting, inference keeps no backward state.
+"""Graph lifetime: graphs are freed by reference counting, inference keeps no backward state.
 
 Every test here runs with the cyclic garbage collector switched off, so
 anything that only a full collection would free shows up as still alive.
@@ -12,7 +12,7 @@ import pytest
 
 from fusedet import autodiff as ad
 from fusedet import harness
-from fusedet.autodiff import ParamSet, Tape
+from fusedet.autodiff import ParamSet, Var
 from fusedet.harness import RunConfig
 from fusedet.model import ModelConfig, ToyModel
 
@@ -29,16 +29,17 @@ def no_cyclic_gc():
 
 
 @pytest.fixture
-def tape_refs(monkeypatch):
-    """Weak references to every tape made while the test runs."""
+def var_refs(monkeypatch):
+    """Weak references to every Var made while the test runs."""
     refs = []
-    init = Tape.__init__
+    record = ad._record
 
-    def recording_init(self):
-        init(self)
-        refs.append(weakref.ref(self))
+    def recording(value, backward_fn, requires_grad):
+        v = record(value, backward_fn, requires_grad)
+        refs.append(weakref.ref(v))
+        return v
 
-    monkeypatch.setattr(Tape, "__init__", recording_init)
+    monkeypatch.setattr(ad, "_record", recording)
     return refs
 
 
@@ -46,51 +47,58 @@ def _live(refs) -> list:
     return [r() for r in refs if r() is not None]
 
 
-def test_tape_and_buffers_die_with_last_var():
-    t = Tape()
-    x = t.leaf(np.linspace(0.0, 1.0, 4 * 32 * 32).reshape(4, 32, 32), requires_grad=True)
-    w = t.leaf(np.full((8, 4, 3, 3), 0.1), requires_grad=True)
+def test_tape_and_buffers_die_with_last_var(var_refs):
+    x = Var.leaf(np.linspace(0.0, 1.0, 4 * 32 * 32).reshape(4, 32, 32), requires_grad=True)
+    w = Var.leaf(np.full((8, 4, 3, 3), 0.1), requires_grad=True)
     h = ad.relu(ad.conv2d(x, w))
     loss = ad.tsum(ad.square(h))
-    tape_ref, h_ref = weakref.ref(t), weakref.ref(h.value)
-    del t, h
+    h_ref = weakref.ref(h.value)
+    del h
     assert h_ref() is not None  # the backward pass of loss still needs it
+    assert len(_live(var_refs)) == 6
     (gx,) = ad.gradients(loss, [x])
     assert gx.shape == x.value.shape
     del loss
     assert h_ref() is None
-    assert tape_ref() is not None  # x and w still live on it
-    del x, w
-    assert tape_ref() is None
+    live = _live(var_refs)
+    assert len(live) == 2 and live[0] is x and live[1] is w
+    del live, x, w
+    assert not _live(var_refs)
 
 
-def test_constant_subgraph_keeps_no_closure():
-    t = Tape()
-    src = t.constant(np.ones((32, 32)))
+def test_constant_subgraph_keeps_no_closure(var_refs):
+    src = Var.constant(np.ones((32, 32)))
     blurred = ad.blur(src, ad.gaussian_kernel(7, 1.5))
     assert blurred.backward_fn is None
     src_ref = weakref.ref(src.value)
     del src
     assert src_ref() is None
-    p = t.leaf(np.ones((32, 32)), requires_grad=True)
+    live = _live(var_refs)
+    assert len(live) == 1 and live[0] is blurred
+    del live
+    p = Var.leaf(np.ones((32, 32)), requires_grad=True)
     assert ad.mul(p, blurred).backward_fn is not None
 
 
-def test_train_keeps_only_the_last_placed_tape(train_batch, tape_refs):
+def test_train_keeps_only_the_last_placed_tape(train_batch, var_refs):
     model, log = harness.train(RunConfig(seed=0, iterations=3), train_batch)
-    live = _live(tape_refs)
-    assert len(live) == 1
-    assert all(v.tape is live[0] for v in model.params.vars.values())
+    live = _live(var_refs)
+    assert {id(v) for v in live} == {id(v) for v in model.params.vars.values()}
+    assert len(live) == len(model.params.vars)
     del live, model, log
-    assert not _live(tape_refs)
+    assert not _live(var_refs)
 
 
-def test_train_frees_each_step_before_the_next_forward(train_batch, monkeypatch):
+def test_train_frees_each_step_before_the_next_forward(train_batch, monkeypatch, var_refs):
     fused = []
     forward = ToyModel.forward_fusion
 
     def recording_forward(self, pvars, x, y):
         assert all(r() is None for r in fused), "the previous step's graph is still alive"
+        # only this step's inputs exist yet: fresh parameter leaves and the two images
+        live = _live(var_refs)
+        assert {id(v) for v in live} == {id(v) for v in (*pvars.values(), x, y)}
+        del live
         u, pyramid = forward(self, pvars, x, y)
         fused.append(weakref.ref(u.value))
         return u, pyramid
@@ -101,15 +109,15 @@ def test_train_frees_each_step_before_the_next_forward(train_batch, monkeypatch)
 
 
 @pytest.mark.parametrize("command", ["fuse", "detect"])
-def test_inference_leaves_no_tape(val_batch, tape_refs, command):
+def test_inference_leaves_no_tape(val_batch, var_refs, command):
     model = ToyModel.create(ModelConfig(), 0)
     pair = val_batch.pairs[0]
     if command == "fuse":
         harness.fuse_scene(model, pair)
     else:
         harness.detect_scene(model, pair, 4, seed=0)
-    assert tape_refs
-    assert not _live(tape_refs)
+    assert var_refs
+    assert not _live(var_refs)
 
 
 def test_inference_matches_grad_tracked_forward(val_batch, monkeypatch):
@@ -126,7 +134,7 @@ def test_inference_matches_grad_tracked_forward(val_batch, monkeypatch):
 
 def test_inference_leaves_placed_params_untouched(val_batch):
     model = ToyModel.create(ModelConfig(), 0)
-    placed = model.place(Tape())
+    placed = model.params.place()
     snapshot = dict(placed)
     harness.fuse_scene(model, val_batch.pairs[0])
     harness.detect_scene(model, val_batch.pairs[0], 4, seed=0)

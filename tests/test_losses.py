@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fusedet import autodiff as ad
 from fusedet import losses
-from fusedet.autodiff import Tape
+from fusedet.autodiff import Var
 from tests.test_autodiff import fd_gradient, rel_err
 
 
@@ -207,7 +207,7 @@ class TestGradientLoss:
     @pytest.mark.parametrize("size", losses.GRAD_KERNEL_SIZES)
     def test_highpass_is_image_minus_blur(self, size):
         img = np.random.default_rng(size).uniform(size=(64, 48))
-        blurred = ad.blur(Tape().constant(img), ad.gaussian_kernel(size, (size - 1) / 4.0)).value
+        blurred = ad.blur(Var.constant(img), ad.gaussian_kernel(size, (size - 1) / 4.0)).value
         assert np.array_equal(losses.highpass(img, size), img - blurred)
 
     def test_impulse_images_match_direct_convolution_oracle(self):
@@ -320,13 +320,11 @@ def test_loss_gradients_wrt_fused_image(name):
         mask = losses.object_mask(np.array([[0.5, 0.5, 0.5, 0.5]]), 8, 8)
         w = losses.saliency_weights(x, y)
 
-        t = Tape()
-        u = t.leaf(u0, requires_grad=True)
+        u = Var.leaf(u0, requires_grad=True)
         (g,) = ad.gradients(build(u, x, y, mask, w), [u])
 
         def f(arr):
-            t2 = Tape()
-            uv = t2.leaf(arr, requires_grad=False)
+            uv = Var.leaf(arr, requires_grad=False)
             return build(uv, x, y, mask, w).item()
 
         fd = fd_gradient(f, u0.copy())

@@ -19,7 +19,6 @@ import numpy as np
 from . import gmta, harness
 from . import metrics as met
 from . import synthdata as sd
-from .autodiff import ShapeError
 from .harness import RunConfig
 from .model import ToyModel
 
@@ -127,9 +126,12 @@ def _build_parser() -> _Parser:
 
 def _cmd_gen(args) -> int:
     cfg = _load_config(args)
+    if args.scenes < 1:
+        raise _UsageError(f"--scenes must be at least 1, got {args.scenes}")
     try:
+        sd.SceneSpec(seed=cfg.seed, width=args.width, height=args.height)
         cfg.model_config().fusion.check_image_size("gen", args.height, args.width)
-    except ShapeError as e:
+    except ValueError as e:
         raise _UsageError(str(e)) from None
     ids = sd.generate_dataset(
         cfg.dataset_root, args.split, args.scenes, cfg.seed, width=args.width, height=args.height
@@ -216,23 +218,42 @@ def _cmd_gmta_demo(args) -> int:
     return 0
 
 
-def _cmd_exp_gmta(args) -> int:
-    cfg = _load_config(args)
-    report = harness.experiment_gmta(cfg, _parse_ints(args.seeds, "seed"))
-    json_path, csv_path = harness.write_experiment_report(cfg.out_dir, "exp_gmta", report)
-    means = {name: arm["mean"] for name, arm in report["arms"].items()}
-    print(json.dumps(means, sort_keys=True))
+def _arm(cfg: RunConfig, seeds: list[int], **changes) -> list[RunConfig]:
+    """The config of one experiment arm at each seed; a setting no run can use is a usage error."""
+    if not seeds:
+        raise _UsageError("an experiment needs at least one seed")
+    try:
+        return [dataclasses.replace(cfg, seed=seed, **changes) for seed in seeds]
+    except ValueError as e:
+        raise _UsageError(f"bad run config: {e}") from None
+
+
+def _run_experiment(out_dir: str, stem: str, arms: dict[str, list[RunConfig]]) -> int:
+    """Run every config of every arm, in order, then write and print their report."""
+    report = harness.experiment_report(
+        {name: [harness.run_arm(arm_cfg)[0] for arm_cfg in configs] for name, configs in arms.items()}
+    )
+    json_path, csv_path = harness.write_experiment_report(out_dir, stem, report)
+    print(json.dumps({name: arm["mean"] for name, arm in report["arms"].items()}, sort_keys=True))
     print(f"reports: {json_path} {csv_path}")
     return 0
+
+
+def _cmd_exp_gmta(args) -> int:
+    cfg = _load_config(args)
+    seeds = _parse_ints(args.seeds, "seed")
+    arms = {"with_gmta": _arm(cfg, seeds, gmta=True), "without_gmta": _arm(cfg, seeds, gmta=False)}
+    return _run_experiment(cfg.out_dir, "exp_gmta", arms)
 
 
 def _cmd_exp_branches(args) -> int:
     cfg = _load_config(args)
+    seeds = _parse_ints(args.seeds, "seed")
     branch_sets = [tuple(_parse_ints(part, "branch")) for part in args.branch_sets.split(";") if part]
-    report = harness.experiment_branches(cfg, branch_sets, _parse_ints(args.seeds, "seed"))
-    json_path, csv_path = harness.write_experiment_report(cfg.out_dir, "exp_branches", report)
-    print(f"reports: {json_path} {csv_path}")
-    return 0
+    arms = {",".join(map(str, b)): _arm(cfg, seeds, branches=b) for b in branch_sets}
+    if not arms or len(arms) < len(branch_sets):
+        raise _UsageError(f"bad branch sets {args.branch_sets!r}; expected distinct sets separated by ';'")
+    return _run_experiment(cfg.out_dir, "exp_branches", arms)
 
 
 _COMMANDS = {

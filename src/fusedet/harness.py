@@ -1,4 +1,4 @@
-"""Joint training loop, evaluation, and the two trend experiments.
+"""Joint training loop, evaluation, and the experiment arms.
 
 One iteration: pick a scene, run the fusion head to get the fusion
 objective, corrupt the scene's (padded) boxes to a random diffusion step
@@ -9,10 +9,9 @@ the (optionally aligned) combined gradient.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
@@ -58,13 +57,17 @@ class RunConfig:
             ("learning_rate", math.isfinite(self.learning_rate) and self.learning_rate > 0, "finite and positive"),
             ("task_weights", len(w) == 2 and all(math.isfinite(v) and v >= 0 for v in w) and sum(w) > 0,
              "two finite nonnegative numbers with a positive sum"),
+            ("eta", len(self.eta) == 3, "three loss weights"),
+            ("diffusion_steps", self.diffusion_steps >= 1, "at least 1"),
+            ("boxes_per_scene", self.boxes_per_scene >= 1, "at least 1"),
         ):
             if not ok:
                 raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
-        try:
-            FusionNetConfig(branches=self.branches).validate()
-        except ValueError as e:
-            raise ValueError(f"branches: {e}") from None
+        for key, check in (("eta", self.loss_weights), ("branches", FusionNetConfig(branches=self.branches).validate)):
+            try:
+                check()
+            except ValueError as e:
+                raise ValueError(f"{key}: {e}") from None
 
     def to_json(self) -> dict:
         d = asdict(self)
@@ -258,90 +261,35 @@ def evaluate_split(
     return met.score_split(ids, fusions, detections)
 
 
-def _arm_summary(config: RunConfig, train_batch: SceneBatch, eval_batch: SceneBatch) -> dict:
-    model, log = train(config, train_batch)
+SUMMARY_KEYS = ["final_loss_u", "final_loss_d", "en", "mi", "vif", "map50", "map5095"]
+
+
+def run_arm(config: RunConfig) -> tuple[dict, TrainLog]:
+    """Train at the config's seed and score the model on its eval split: (summary row, train log)."""
+    model, log = train(config)
     final_u, final_d = log.final_losses()
-    ev = evaluate_split(model, eval_batch, config.sampling_steps, config.seed)
-    return {
-        "seed": config.seed,
-        "final_loss_u": final_u,
-        "final_loss_d": final_d,
-        **ev["aggregate"],
-    }
-
-
-def _mean_over(rows: list[dict], keys: list[str]) -> dict:
-    return {k: float(np.mean([r[k] for r in rows])) for k in keys}
-
-
-_SUMMARY_KEYS = ["final_loss_u", "final_loss_d", "en", "mi", "vif", "map50", "map5095"]
-
-
-def load_split_pair(config: RunConfig) -> tuple[SceneBatch, SceneBatch]:
-    return (
-        SceneBatch.from_dir(config.dataset_root, config.train_split),
-        SceneBatch.from_dir(config.dataset_root, config.eval_split),
+    ev = evaluate_split(
+        model, SceneBatch.from_dir(config.dataset_root, config.eval_split), config.sampling_steps, config.seed
     )
+    return {"seed": config.seed, "final_loss_u": final_u, "final_loss_d": final_d, **ev["aggregate"]}, log
 
 
-def experiment_gmta(config: RunConfig, seeds: list[int]) -> dict:
-    """Aligned vs plain-sum arms over shared seeds on a held-out split."""
-    if not seeds:
-        raise ValueError("experiment needs at least one seed")
-    train_batch, eval_batch = load_split_pair(config)
-    arms: dict[str, list[dict]] = {"with_gmta": [], "without_gmta": []}
-    for seed in seeds:
-        for name, flag in (("with_gmta", True), ("without_gmta", False)):
-            cfg = replace(config, seed=seed, gmta=flag)
-            arms[name].append(_arm_summary(cfg, train_batch, eval_batch))
+def experiment_report(runs: dict[str, list[dict]]) -> dict:
+    """The summary rows of named arms over shared seeds, with each arm's mean, arms in the given order."""
     return {
-        "seeds": list(seeds),
+        "seeds": [row["seed"] for row in next(iter(runs.values()))],
         "arms": {
-            name: {"runs": rows, "mean": _mean_over(rows, _SUMMARY_KEYS)}
-            for name, rows in arms.items()
+            name: {"runs": rows, "mean": {k: float(np.mean([r[k] for r in rows])) for k in SUMMARY_KEYS}}
+            for name, rows in runs.items()
         },
     }
 
 
-def experiment_branches(config: RunConfig, branch_sets: list[tuple[int, ...]], seeds: list[int]) -> dict:
-    """Fusion/detection metrics per branch set, rows in the given order."""
-    if not branch_sets:
-        raise ValueError("experiment needs at least one branch set")
-    train_batch, eval_batch = load_split_pair(config)
-    rows = []
-    for branches in branch_sets:
-        runs = []
-        for seed in seeds:
-            cfg = replace(config, seed=seed, branches=tuple(branches))
-            runs.append(_arm_summary(cfg, train_batch, eval_batch))
-        rows.append(
-            {
-                "branches": list(branches),
-                "runs": runs,
-                "mean": _mean_over(runs, _SUMMARY_KEYS),
-            }
-        )
-    return {"seeds": list(seeds), "rows": rows}
-
-
 def write_experiment_report(out_dir: str | Path, stem: str, report: dict) -> tuple[Path, Path]:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    json_path = out_dir / f"{stem}.json"
-    csv_path = out_dir / f"{stem}.csv"
-    json_path.write_text(json.dumps(report, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-    with open(csv_path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["group", "seed", *_SUMMARY_KEYS])
-        if "arms" in report:
-            groups = [(name, arm["runs"], arm["mean"]) for name, arm in sorted(report["arms"].items())]
-        else:
-            groups = [
-                (",".join(str(b) for b in row["branches"]), row["runs"], row["mean"])
-                for row in report["rows"]
-            ]
-        for name, runs, mean_row in groups:
-            for run in runs:
-                writer.writerow([name, run["seed"], *(run[k] for k in _SUMMARY_KEYS)])
-            writer.writerow([name, "mean", *(mean_row[k] for k in _SUMMARY_KEYS)])
-    return json_path, csv_path
+    """The report as JSON, and as CSV with one row per run and one mean row per arm."""
+    rows = [
+        [name, run["seed"], *(run[k] for k in SUMMARY_KEYS)]
+        for name, arm in report["arms"].items()
+        for run in (*arm["runs"], {"seed": "mean", **arm["mean"]})
+    ]
+    return met.write_tables(out_dir, stem, report, ["group", "seed", *SUMMARY_KEYS], rows)

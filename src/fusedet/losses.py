@@ -34,10 +34,9 @@ class LossWeights:
     eta3: float = 1.0
 
     def __post_init__(self):
-        if min(self.eta1, self.eta2, self.eta3) < 0:
-            raise ValueError("loss weights must be nonnegative")
-        if max(self.eta1, self.eta2, self.eta3) <= 0:
-            raise ValueError("at least one loss weight must be strictly positive")
+        w = (self.eta1, self.eta2, self.eta3)
+        if not (all(np.isfinite(v) and v >= 0 for v in w) and sum(w) > 0):
+            raise ValueError(f"loss weights must be finite and nonnegative with a positive sum, got {w}")
 
 
 def to_luminance(img: np.ndarray) -> np.ndarray:

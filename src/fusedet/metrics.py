@@ -252,26 +252,23 @@ def score_split(
     return {"scenes": rows, "aggregate": aggregate}
 
 
-def write_reports(
-    out_dir: str | Path,
-    per_scene: list[dict],
-    aggregate: dict,
-    stem: str = "metrics",
-) -> tuple[Path, Path]:
-    """Emit the JSON (per-scene + aggregate) and CSV summary for a metric run."""
+def write_tables(out_dir: str | Path, stem: str, payload: dict, header: list[str], rows: list[list]) -> tuple[Path, Path]:
+    """Write `payload` to <stem>.json (sorted keys) and `header` plus `rows` to <stem>.csv."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / f"{stem}.json"
     csv_path = out_dir / f"{stem}.csv"
-    json_path.write_text(
-        json.dumps({"scenes": per_scene, "aggregate": aggregate}, sort_keys=True, indent=1) + "\n",
-        encoding="utf-8",
-    )
-    columns = ["scene-id", "en", "mi", "vif", "map50", "map5095"]
+    json_path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
     with open(csv_path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        writer.writerow(columns)
-        for row in per_scene:
-            writer.writerow([row.get("scene-id", ""), *(row.get(c, "") for c in columns[1:])])
-        writer.writerow(["aggregate", *(aggregate.get(c, "") for c in columns[1:])])
+        writer.writerow(header)
+        writer.writerows(rows)
     return json_path, csv_path
+
+
+def write_reports(out_dir: str | Path, per_scene: list[dict], aggregate: dict) -> tuple[Path, Path]:
+    """Emit metrics.json (per-scene + aggregate) and the metrics.csv summary for a metric run."""
+    columns = ["scene-id", "en", "mi", "vif", "map50", "map5095"]
+    rows = [[row.get("scene-id", ""), *(row.get(c, "") for c in columns[1:])] for row in per_scene]
+    rows.append(["aggregate", *(aggregate.get(c, "") for c in columns[1:])])
+    return write_tables(out_dir, "metrics", {"scenes": per_scene, "aggregate": aggregate}, columns, rows)

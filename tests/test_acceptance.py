@@ -24,10 +24,7 @@ from fusedet import synthdata as sd
 from fusedet.autodiff import Var
 from fusedet.cli import main as cli_main
 from fusedet.fusion_net import FusionNetConfig, fusion_forward, init_fusion_params
-from fusedet.harness import (
-    RunConfig, TrainLog, evaluate_split, experiment_gmta, experiment_branches, load_split_pair, train,
-    write_experiment_report,
-)
+from fusedet.harness import RunConfig, TrainLog, experiment_report, run_arm, write_experiment_report
 from fusedet.model import ModelConfig, ToyModel
 from fusedet.rng import SplitMix64
 
@@ -251,18 +248,13 @@ EXPERIMENT_SEEDS = [0, 1, 2, 3, 4]
 WORKERS = min(2, os.cpu_count() or 1)
 
 
-def _gmta_arm(cfg: RunConfig) -> tuple[dict, TrainLog]:
-    """One seed of one arm of the alignment experiment: its summary row and its train log."""
-    train_batch, eval_batch = load_split_pair(cfg)
-    model, log = train(cfg, train_batch)
-    ev = evaluate_split(model, eval_batch, cfg.sampling_steps, cfg.seed)
-    row = {
-        "seed": cfg.seed,
-        "final_loss_u": log.mean_loss("loss_u", -20),
-        "final_loss_d": log.mean_loss("loss_d", -20),
-        **ev["aggregate"],
-    }
-    return row, log
+def _run_arms(arms: dict[str, list[RunConfig]]) -> tuple[dict, dict[str, list[TrainLog]]]:
+    """Every run of every named arm over the worker pool: the experiment report and each arm's logs."""
+    with ProcessPoolExecutor(max_workers=WORKERS) as pool:
+        results = iter(pool.map(run_arm, [cfg for configs in arms.values() for cfg in configs]))
+        runs = {name: [next(results) for _ in configs] for name, configs in arms.items()}
+    report = experiment_report({name: [row for row, _ in arm_runs] for name, arm_runs in runs.items()})
+    return report, {name: [log for _, log in arm_runs] for name, arm_runs in runs.items()}
 
 
 @pytest.fixture(scope="module")
@@ -280,31 +272,10 @@ def gmta_experiment(tmp_path_factory):
         dataset_root=str(root), out_dir=str(tmp_path_factory.mktemp("exp_out")),
     )
     t0 = time.time()
-    arms = {"with_gmta": [], "without_gmta": []}
-    logs = {"with_gmta": [], "without_gmta": []}
-    jobs = [
-        (name, replace(base, seed=seed, gmta=flag))
-        for seed in EXPERIMENT_SEEDS
+    report, logs = _run_arms({
+        name: [replace(base, seed=seed, gmta=flag) for seed in EXPERIMENT_SEEDS]
         for name, flag in (("with_gmta", True), ("without_gmta", False))
-    ]
-    with ProcessPoolExecutor(max_workers=WORKERS) as pool:
-        results = list(pool.map(_gmta_arm, [cfg for _, cfg in jobs]))
-    for (name, _), (row, log) in zip(jobs, results, strict=True):
-        arms[name].append(row)
-        logs[name].append(log)
-    report = {
-        "seeds": EXPERIMENT_SEEDS,
-        "arms": {
-            name: {
-                "runs": rows,
-                "mean": {
-                    k: float(np.mean([r[k] for r in rows]))
-                    for k in ("final_loss_u", "final_loss_d", "en", "mi", "vif", "map50", "map5095")
-                },
-            }
-            for name, rows in arms.items()
-        },
-    }
+    })
     json_path, csv_path = write_experiment_report(base.out_dir, "exp_gmta", report)
     return {"report": report, "logs": logs, "elapsed": time.time() - t0,
             "json_path": json_path, "csv_path": csv_path}
@@ -374,16 +345,15 @@ def test_criterion_7_branch_trend(tmp_path):
         seed=0, iterations=400, learning_rate=0.05, dataset_root=str(root),
         out_dir=str(tmp_path / "out"),
     )
-    # rows are independent, so each branch set gets its own process; the
-    # stitched report is the one a single call over both sets returns
-    branch_sets = [(0,), (0, 1, 2, 3)]
-    seeds = [0, 1, 2, 3, 4]
-    with ProcessPoolExecutor(max_workers=WORKERS) as pool:
-        parts = list(pool.map(experiment_branches, [cfg] * 2, [[b] for b in branch_sets], [seeds] * 2))
-    report = {"seeds": seeds, "rows": [part["rows"][0] for part in parts]}
+    # one job per (branch set, seed), so the costlier full-set runs spread over both workers
+    branch_sets = {"0": (0,), "0,1,2,3": (0, 1, 2, 3)}
+    report, _ = _run_arms({
+        name: [replace(cfg, seed=seed, branches=branches) for seed in EXPERIMENT_SEEDS]
+        for name, branches in branch_sets.items()
+    })
     json_path, csv_path = write_experiment_report(cfg.out_dir, "exp_branches", report)
     assert json_path.exists() and csv_path.exists()
-    small, full = report["rows"][0], report["rows"][1]
+    small, full = report["arms"]["0"], report["arms"]["0,1,2,3"]
     wins = 0
     for run_small, run_full in zip(small["runs"], full["runs"]):
         fusion_small = (run_small["en"], run_small["mi"], run_small["vif"])
@@ -443,4 +413,6 @@ def test_criterion_8_cli_determinism(tmp_path):
                          "--pred-dir", str(tmp_path / "d1"), "--fused-dir", str(tmp_path / "f1"),
                          "--out", str(tmp_path / tag)]) == 0
     assert digest(tmp_path / "e1") == digest(tmp_path / "e2")
+    report = json.loads((tmp_path / "e1" / "metrics.json").read_text())
+    assert set(report["aggregate"]) == {"en", "mi", "vif", "map50", "map5095"}
     _report("8 (CLI determinism)", "gen/train/fuse/detect/eval byte-identical under fixed seeds")

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, config overrides, byte-determinism."""
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fusedet import cli
+from fusedet import cli, harness
 from fusedet import synthdata as sd
 from fusedet.cli import main
 from fusedet.harness import RunConfig
@@ -66,13 +67,24 @@ class TestRunSettings:
         assert rc == 1
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("weights", [[-1, 2], [0, 0], [1, float("inf")], [1, 2, 3]])
-    def test_bad_task_weights_in_config_is_usage_error(self, tmp_path, capsys, weights):
+    @pytest.mark.parametrize("key, value", [
+        ("task_weights", [-1, 2]),
+        ("task_weights", [0, 0]),
+        ("task_weights", [1, float("inf")]),
+        ("task_weights", [1, 2, 3]),
+        ("eta", [1, 2]),
+        ("eta", [-1, 10, 1]),
+        ("eta", [1, float("nan"), 1]),
+        ("eta", [0, 0, 0]),
+        ("diffusion_steps", 0),
+        ("boxes_per_scene", 0),
+    ])
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"task_weights": weights}))
+        cfg.write_text(json.dumps({key: value}))
         rc = main(["train", "--config", str(cfg), "--dataset-root", str(tmp_path / "missing"), "--out", str(tmp_path / "o")])
         assert rc == 1
-        assert "task_weights" in capsys.readouterr().err
+        assert key in capsys.readouterr().err
 
     def test_zero_iterations_stay_legal(self):
         assert RunConfig(iterations=0).iterations == 0
@@ -130,11 +142,17 @@ class TestGen:
             "scene-0001.boxes.json", "scene-0001.ir.pgm", "scene-0001.vis.pgm",
         ]
 
-    @pytest.mark.parametrize("side", ["--width", "--height"])
-    def test_gen_rejects_size_the_model_cannot_fuse(self, tmp_path, capsys, side):
-        rc = main(["gen", "--scenes", "1", "--dataset-root", str(tmp_path), side, "65"])
+    @pytest.mark.parametrize("argv, message", [
+        (["--width", "65"], "is not a multiple of 4 on each side"),
+        (["--height", "65"], "is not a multiple of 4 on each side"),
+        (["--width", "28", "--height", "32"], "scene dimensions must be at least 32"),
+        (["--scenes", "-1"], "--scenes must be at least 1"),
+        (["--scenes", "0"], "--scenes must be at least 1"),
+    ])
+    def test_gen_rejects_bad_size_or_count_before_writing(self, tmp_path, capsys, argv, message):
+        rc = main(["gen", "--scenes", "1", "--dataset-root", str(tmp_path), *argv])
         assert rc == 1
-        assert "is not a multiple of 4 on each side" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "train").exists()
 
 
@@ -154,6 +172,42 @@ class TestFuse:
         assert main(argv) == 2
         assert "fuse: scene scene-9999: image size 64x66 is not a multiple of 4" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not valid JSON")
+
+
+class TestExperiments:
+    @pytest.mark.parametrize("argv", [
+        ["exp-branches", "--seeds", ""],
+        ["exp-branches", "--branch-sets", ";"],
+        ["exp-branches", "--branch-sets", "0;1,2"],
+        ["exp-branches", "--branch-sets", "0;0,1;0"],
+        ["exp-gmta", "--seeds", ""],
+    ])
+    def test_bad_input_is_usage_error_before_any_training(self, tmp_path, tiny_dataset, monkeypatch, argv):
+        calls = []
+        monkeypatch.setattr(harness, "train", lambda *a, **kw: calls.append(a))
+        out = tmp_path / "o"
+        assert main([*argv, "--dataset-root", str(tiny_dataset), "--iterations", "1", "--out", str(out)]) == 1
+        assert calls == [] and not out.exists()
+
+    @pytest.mark.parametrize("argv, stem, arms", [
+        (["exp-gmta"], "exp_gmta", ["with_gmta", "without_gmta"]),
+        (["exp-branches", "--branch-sets", "0;0,1"], "exp_branches", ["0", "0,1"]),
+    ])
+    def test_runs_and_writes_one_report_shape(self, tmp_path, tiny_dataset, capsys, argv, stem, arms):
+        out = tmp_path / "o"
+        rc = main([*argv, "--dataset-root", str(tiny_dataset), "--seeds", "0", "--iterations", "2", "--out", str(out)])
+        assert rc == 0
+        assert list(json.loads(capsys.readouterr().out.splitlines()[0])) == sorted(arms)
+        report = json.loads((out / f"{stem}.json").read_text(), parse_constant=_reject_constant)
+        assert report["seeds"] == [0] and sorted(report["arms"]) == sorted(arms)
+        with open(out / f"{stem}.csv", newline="") as f:
+            lines = list(csv.reader(f))
+        assert lines[0] == ["group", "seed", "final_loss_u", "final_loss_d", "en", "mi", "vif", "map50", "map5095"]
+        assert [line[:2] for line in lines[1:]] == [[arm, seed] for arm in arms for seed in ("0", "mean")]
 
 
 class TestGmtaDemo:
@@ -211,45 +265,6 @@ class TestEval:
 
 @pytest.mark.slow
 class TestPipeline:
-    def test_train_fuse_detect_eval_and_determinism(self, tmp_path, tiny_dataset):
-        """End-to-end byte-identical artifacts for repeated seeded invocations."""
-        outs = []
-        for tag in ("r1", "r2"):
-            out = tmp_path / tag
-            rc = main([
-                "train", "--dataset-root", str(tiny_dataset), "--seed", "11",
-                "--iterations", "12", "--out", str(out),
-            ])
-            assert rc == 0
-            outs.append(out)
-        assert _tree_digest(outs[0]) == _tree_digest(outs[1])
-
-        model_path = outs[0] / "model.json"
-        for tag in ("f1", "f2"):
-            rc = main([
-                "fuse", "--model", str(model_path), "--dataset-root", str(tiny_dataset),
-                "--split", "val", "--out", str(tmp_path / tag),
-            ])
-            assert rc == 0
-        assert _tree_digest(tmp_path / "f1") == _tree_digest(tmp_path / "f2")
-
-        for tag in ("d1", "d2"):
-            rc = main([
-                "detect", "--model", str(model_path), "--dataset-root", str(tiny_dataset),
-                "--split", "val", "--seed", "4", "--out", str(tmp_path / tag),
-            ])
-            assert rc == 0
-        assert _tree_digest(tmp_path / "d1") == _tree_digest(tmp_path / "d2")
-
-        rc = main([
-            "eval", "--dataset-root", str(tiny_dataset), "--split", "val",
-            "--pred-dir", str(tmp_path / "d1"), "--fused-dir", str(tmp_path / "f1"),
-            "--out", str(tmp_path / "ev"),
-        ])
-        assert rc == 0
-        report = json.loads((tmp_path / "ev" / "metrics.json").read_text())
-        assert set(report["aggregate"]) >= {"en", "mi", "vif", "map50", "map5095"}
-
     def test_config_file_with_flag_overrides(self, tmp_path, tiny_dataset):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({

@@ -1,5 +1,6 @@
 """Training loop contracts: determinism, alignment routing, loss trends, fuse/detect."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -316,42 +317,26 @@ class TestEvaluateSplit:
 
 
 class TestExperiments:
-    def test_identical_arms_give_identical_reports(self, tiny_dataset):
-        """Determinism: rerunning the same arm summary reproduces it exactly."""
-        from fusedet.harness import _arm_summary
-
+    def test_run_arm_is_deterministic_and_reports_the_final_losses(self, tiny_dataset):
         cfg = _cfg(tiny_dataset, iterations=4, gmta=False)
-        tb = SceneBatch.from_dir(tiny_dataset, "train")
-        vb = SceneBatch.from_dir(tiny_dataset, "val")
-        assert _arm_summary(cfg, tb, vb) == _arm_summary(cfg, tb, vb)
+        (row, log), (again, _) = harness.run_arm(cfg), harness.run_arm(cfg)
+        assert row == again
+        assert set(row) == {"seed", *harness.SUMMARY_KEYS}
+        assert (row["final_loss_u"], row["final_loss_d"]) == log.final_losses()
 
-    def test_experiment_gmta_schema(self, tiny_dataset, tmp_path):
-        from fusedet.harness import experiment_gmta, write_experiment_report
+    def test_report_keeps_arm_order_with_one_csv_row_per_run_and_mean(self, tmp_path):
+        def row(seed, value):
+            return {"seed": seed, **dict.fromkeys(harness.SUMMARY_KEYS, value)}
 
-        cfg = _cfg(tiny_dataset, iterations=3)
-        report = experiment_gmta(cfg, seeds=[0])
-        assert set(report["arms"]) == {"with_gmta", "without_gmta"}
-        for arm in report["arms"].values():
-            assert set(arm["mean"]) == {
-                "final_loss_u", "final_loss_d", "en", "mi", "vif", "map50", "map5095"
-            }
-        jp, cp = write_experiment_report(tmp_path, "exp_gmta", report)
-        assert jp.exists() and cp.read_text().startswith("group,seed,")
-
-    def test_branch_rows_match_one_set_at_a_time(self, tiny_dataset):
-        """Criterion 7 runs each branch set in its own process and stitches the rows."""
-        from fusedet.harness import experiment_branches
-
-        cfg = _cfg(tiny_dataset, iterations=2)
-        both = experiment_branches(cfg, [(0,), (0, 1)], seeds=[0, 1])
-        parts = [experiment_branches(cfg, [b], seeds=[0, 1]) for b in [(0,), (0, 1)]]
-        assert both["rows"] == [part["rows"][0] for part in parts]
-        assert [row["branches"] for row in both["rows"]] == [[0], [0, 1]]
-
-    def test_experiment_branches_singleton_row_order(self, tiny_dataset):
-        from fusedet.harness import experiment_branches
-
-        cfg = _cfg(tiny_dataset, iterations=3)
-        report = experiment_branches(cfg, [(0,)], seeds=[0])
-        assert len(report["rows"]) == 1
-        assert report["rows"][0]["branches"] == [0]
+        report = harness.experiment_report({"0,1": [row(3, 1.0), row(4, 2.0)], "0": [row(3, 5.0), row(4, 5.0)]})
+        assert report["seeds"] == [3, 4]
+        assert report["arms"]["0,1"]["mean"] == dict.fromkeys(harness.SUMMARY_KEYS, 1.5)
+        jp, cp = harness.write_experiment_report(tmp_path, "exp", report)
+        assert json.loads(jp.read_text()) == report
+        with open(cp, newline="") as f:
+            lines = list(csv.reader(f))
+        assert lines[0] == ["group", "seed", *harness.SUMMARY_KEYS]
+        assert [line[:3] for line in lines[1:]] == [
+            ["0,1", "3", "1.0"], ["0,1", "4", "2.0"], ["0,1", "mean", "1.5"],
+            ["0", "3", "5.0"], ["0", "4", "5.0"], ["0", "mean", "5.0"],
+        ]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -207,7 +208,8 @@ def sigmoid(x: Var) -> Var:
     v = x.value
     # exp(-|v|) never overflows: 1/(1+e) on v >= 0, e/(1+e) below
     e = np.exp(-np.abs(v))
-    out = np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    out = np.where(v >= 0, 1.0 / d, e / d)
 
     def backward(g):
         return [(x, g * out * (1.0 - out))]
@@ -263,20 +265,29 @@ def square(x: Var) -> Var:
     return _record(out, backward, x.requires_grad)
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> tuple[np.ndarray, int, int]:
-    """Padded sliding windows as a (C*kh*kw, Ho*Wo) column matrix."""
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, r0: int = 0, r1: int | None = None,
+            buf: np.ndarray | None = None) -> tuple[np.ndarray, int, int]:
+    """Padded sliding windows of output rows r0:r1 (default all) as a (C*kh*kw, rows*Wo) column matrix.
+
+    Only the input rows the band reads are padded; the columns are written
+    into the front of the flat buffer `buf` when one is given.
+    """
     c_in, h, w = x.shape
     ph, pw = kh // 2, kw // 2
     h_out = (h + 2 * ph - kh) // stride + 1
     w_out = (w + 2 * pw - kw) // stride + 1
-    xp = np.zeros((c_in, h + 2 * ph, w + 2 * pw))
-    xp[:, ph:ph + h, pw:pw + w] = x
+    r1 = h_out if r1 is None else r1
+    top, n = r0 * stride - ph, r1 - r0
+    xp = np.zeros((c_in, (n - 1) * stride + kh, w + 2 * pw))
+    lo, hi = max(top, 0), min(top + xp.shape[1], h)
+    xp[:, lo - top:hi - top, pw:pw + w] = x[:, lo:hi]
+    size = c_in * kh * kw * n * w_out
+    cols = (np.empty(size) if buf is None else buf[:size]).reshape(c_in, kh, kw, n, w_out)
     # one strided copy per tap: cheaper than reshaping a transposed window view
-    cols = np.empty((c_in, kh, kw, h_out, w_out))
     for i in range(kh):
         for j in range(kw):
-            cols[:, i, j] = xp[:, i:i + stride * h_out:stride, j:j + stride * w_out:stride]
-    return cols.reshape(c_in * kh * kw, h_out * w_out), h_out, w_out
+            cols[:, i, j] = xp[:, i:i + stride * n:stride, j:j + stride * w_out:stride]
+    return cols.reshape(c_in * kh * kw, n * w_out), h_out, w_out
 
 
 def _tap_slices(k: int, pad: int, stride: int, n_out: int, n: int) -> tuple[slice, slice]:
@@ -299,10 +310,28 @@ def _col2im(gcols: np.ndarray, shape: tuple[int, int, int], kh: int, kw: int, st
     return gx
 
 
+# im2col bytes per band when no weight gradient keeps the columns (see conv2d)
+_BAND_BYTES = 1 << 19
+# A band's GEMM must round each output as the full-image GEMM does.  BLAS
+# rounds the columns of a partial tile by another kernel, so every band spans
+# whole tiles of _BAND_COLS output columns; and a full GEMM deeper than one
+# packed panel (OpenBLAS's dgemm panel is 256-384 deep) sums panel by panel,
+# which the small-matrix kernel of a narrow band does not.  Other convs run as
+# one band.
+_BAND_COLS = 64
+_BAND_DEPTH = 256
+
+
 def conv2d(x: Var, w: Var, b: Var | None = None, stride: int = 1) -> Var:
     """2-D convolution, CHW layout, symmetric zero padding of kh//2, kw//2.
 
-    Stride 1 preserves the spatial size; stride 2 halves it (ceil).
+    Stride 1 preserves the spatial size; stride 2 halves it (ceil).  A k×k
+    kernel is one GEMM per band of output rows over those rows' im2col
+    columns, each band writing its own slice of the output.  When `w` needs a
+    gradient the one band is the whole image, kept for the weight gradient.
+    Otherwise the bands refill one buffer of _BAND_BYTES (512 KiB, or the
+    rows of one whole tile if more), with the output bytes of the full-image
+    GEMM.  512 KiB fused a 192×128 scene fastest among 256 KiB to 2 MiB.
     """
     w = _lift(w)
     if stride not in (1, 2):
@@ -319,11 +348,26 @@ def conv2d(x: Var, w: Var, b: Var | None = None, stride: int = 1) -> Var:
         b = _lift(b)
         if b.value.shape != (c_out,):
             raise ShapeError(f"conv2d: bias shape {_shp(b.value)} != ({c_out},)")
+    wm = w.value.reshape(c_out, c_in * kh * kw)
     # a pointwise kernel is one GEMM on the input's own (C, H*W) view: no im2col copy, no col2im
     pointwise = kh == kw == 1 and stride == 1
-    cols, h_out, w_out = (x.value.reshape(c_in, -1), h, width) if pointwise else _im2col(x.value, kh, kw, stride)
-    wm = w.value.reshape(c_out, c_in * kh * kw)
-    out = (wm @ cols).reshape(c_out, h_out, w_out)
+    if pointwise:
+        cols, h_out, w_out = x.value.reshape(c_in, -1), h, width
+        out = wm @ cols
+    else:
+        h_out, w_out = (h - 1) // stride + 1, (width - 1) // stride + 1
+        step = _BAND_COLS // math.gcd(w_out, _BAND_COLS)  # rows per whole number of tiles
+        rows = _BAND_BYTES // (8 * wm.shape[1] * w_out) // step * step
+        tiled = h_out * w_out % _BAND_COLS == 0 and wm.shape[1] <= _BAND_DEPTH
+        # one band when the weight gradient reads the whole column matrix
+        band = max(step, rows) if tiled and not w.requires_grad else h_out
+        buf = np.empty(wm.shape[1] * band * w_out) if band < h_out else None
+        out = np.empty((c_out, h_out * w_out))
+        for r0 in range(0, h_out, band):
+            r1 = min(r0 + band, h_out)
+            cols, _, _ = _im2col(x.value, kh, kw, stride, r0, r1, buf)
+            np.matmul(wm, cols, out=out[:, r0 * w_out:r1 * w_out])
+    out = out.reshape(c_out, h_out, w_out)
     if b is not None:
         out += b.value[:, None, None]
 

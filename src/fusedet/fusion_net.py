@@ -16,6 +16,7 @@ parameters shared with the detection head.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -179,19 +180,24 @@ def branch_output(p: dict[str, Var], level_feat: Var, l: int) -> Var:
     return region_representation(masks, phi)
 
 
-def assemble_fuse(p: dict[str, Var], b0: Var, branch_outs: list[tuple[int, Var]]) -> Var:
-    """Merge branch stacks into a gate over the pixel branch, then reconstruct."""
+def assemble_fuse(p: dict[str, Var], b0: Var, branch_outs: Iterable[tuple[int, Var]]) -> Var:
+    """Merge branch stacks into a gate over the pixel branch, then reconstruct.
+
+    Stacks are taken one at a time and dropped once aligned, so a lazy
+    `branch_outs` keeps at most one M*C stack alive when no gradient holds it.
+    """
+    merged = None
+    full = b0.value.shape[-1]
+    for l, bl in branch_outs:
+        # a 1x1 conv commutes with nearest upsampling: align at the branch's own
+        # resolution, then upsample fuse_channels maps instead of the M*C stack
+        aligned = ad.conv2d(bl, p[f"fuse.branch{l}.align.w"], p[f"fuse.branch{l}.align.b"])
+        del bl
+        factor = full // aligned.value.shape[-1]
+        up = ad.upsample_nearest(aligned, factor) if factor > 1 else aligned
+        merged = up if merged is None else merged + up
     feats = b0
-    if branch_outs:
-        merged = None
-        full = b0.value.shape[-1]
-        for l, bl in branch_outs:
-            # a 1x1 conv commutes with nearest upsampling: align at the branch's own
-            # resolution, then upsample fuse_channels maps instead of the M*C stack
-            aligned = ad.conv2d(bl, p[f"fuse.branch{l}.align.w"], p[f"fuse.branch{l}.align.b"])
-            factor = full // bl.value.shape[-1]
-            up = ad.upsample_nearest(aligned, factor) if factor > 1 else aligned
-            merged = up if merged is None else merged + up
+    if merged is not None:
         mixed = ad.relu(ad.conv2d(merged, p["fuse.mix.w"], p["fuse.mix.b"]))
         gate = ad.sigmoid(ad.conv2d(mixed, p["fuse.gate.w"], p["fuse.gate.b"]))
         feats = b0 * gate + b0
@@ -209,8 +215,9 @@ def fusion_forward(
     cfg.check_image_size("fusion_forward", *x.value.shape[-2:])
     pyramid = backbone_forward(p, x, y, cfg)
     b0 = pixel_block(p, x, y)
-    branch_outs = [
+    # a generator: each region branch's stack is built only when assemble_fuse takes it
+    branch_outs = (
         (l, branch_output(p, pyramid[l - 1], l)) for l in sorted(b for b in cfg.branches if b > 0)
-    ]
+    )
     u = assemble_fuse(p, b0, branch_outs)
     return u, pyramid

@@ -1,10 +1,11 @@
 """Toy joint model: shared backbone feeding the fusion head and a box-denoising head.
 
 The detector head is a deliberately small regressor: for each noisy box it
-pools the deepest pyramid feature at the box center, appends a global
-average feature, the noisy coordinates and a sinusoidal time embedding,
-and maps through a two-layer perceptron (sigmoid output) to predicted
-clean boxes.  Only the backbone is shared between tasks.
+pools the deepest pyramid feature at the box center, appends the global
+average feature and per-channel activation centroids, the noisy
+coordinates and a sinusoidal time embedding, and maps them through a
+two-layer perceptron whose output layer is linear (no sigmoid) to
+predicted clean boxes.  Only the backbone is shared between tasks.
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Op semantics, exact gradients vs central finite differences, ParamSet plumbing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,67 @@ class TestForwardValues:
         cols, _, _ = ad._im2col(x, k, k, 1)
         want = (g.reshape(c_out, -1) @ cols.T).reshape(w.value.shape)
         assert gw.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize(
+        "c_in, c_out, h, w, k, stride, band_rows, bands",
+        [
+            (16, 16, 37, 64, 3, 1, 3, 13),  # 3-row bands do not divide 37 rows
+            (16, 16, 37, 64, 3, 1, 1, 37),  # a band of one row
+            (8, 16, 74, 128, 3, 2, 4, 10),  # stride 2: 37 output rows
+            (1, 1, 37, 64, 3, 1, 5, 8),  # one input and one output channel
+            (3, 5, 37, 64, 5, 1, 2, 19),  # 5x5 kernel
+            (2, 3, 16, 8, 9, 1, 1, 2),  # a 9x9 kernel on an 8-wide image; 8 rows make one 64-column tile
+            (16, 16, 37, 192, 3, 1, None, 19),  # the module's own band budget: 2 rows of 192
+            (16, 16, 37, 29, 3, 1, 1, 1),  # 37*29 outputs end inside a 64-column tile: one band
+            (32, 4, 16, 64, 3, 1, 1, 1),  # 288 deep, past one GEMM panel: one band
+        ],
+    )
+    def test_banded_conv2d_bytes_of_kept_cols(self, monkeypatch, c_in, c_out, h, w, k, stride, band_rows, bands, bias):
+        """Without a weight gradient the forward runs in row bands, with the bytes of the one kept-cols GEMM."""
+        rng = np.random.default_rng(c_in * h + w + k + stride)
+        x = rng.normal(size=(c_in, h, w))
+        wt = rng.normal(size=(c_out, c_in, k, k))
+        b = Var.constant(rng.normal(size=c_out)) if bias else None
+        w_out = (w - 1) // stride + 1
+        if band_rows is not None:
+            monkeypatch.setattr(ad, "_BAND_BYTES", band_rows * 8 * c_in * k * k * w_out)
+        calls = []
+        im2col = ad._im2col
+
+        def counting(*args):
+            calls.append(args[4:6])
+            return im2col(*args)
+
+        monkeypatch.setattr(ad, "_im2col", counting)
+        got = ad.conv2d(Var.constant(x), Var.constant(wt), b, stride=stride)
+        assert len(calls) == bands
+        want = ad.conv2d(Var.constant(x), Var.leaf(wt, requires_grad=True), b, stride=stride)
+        assert calls[bands] == (0, got.value.shape[1])  # the kept-cols forward is one band
+        assert got.value.tobytes() == want.value.tobytes()
+
+    def test_banded_conv2d_peak_memory(self):
+        """A no-gradient 16->16 3x3 conv at 192x128 never holds its 28 MB column matrix.
+
+        The bound is the output, one band buffer of at most _BAND_BYTES, and
+        the padded input rows of one band (for a 3x3 kernel at most a third
+        of that band's columns, so below _BAND_BYTES too), plus 64 KiB for
+        small objects.
+        """
+        rng = np.random.default_rng(80)
+        x = Var.constant(rng.normal(size=(16, 128, 192)))
+        w = Var.constant(rng.normal(size=(16, 16, 3, 3)))
+        b = Var.constant(rng.normal(size=16))
+        full_cols = 16 * 9 * 128 * 192 * 8
+        tracemalloc.start()
+        try:
+            out = ad.conv2d(x, w, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = out.value.nbytes + 2 * ad._BAND_BYTES + (1 << 16)
+        assert bound < full_cols / 6
+        assert peak < bound
 
     def test_sigmoid_bytes_of_masked_formula(self):
         """exp(-|v|) and one select give the bytes of the two masked branches, signed zeros included."""

@@ -8,9 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from fusedet import autodiff as ad
 from fusedet import fusion_net as fn
+from fusedet import harness
 from fusedet.autodiff import Var
 from fusedet.model import ModelConfig, ToyModel
 from fusedet.rng import SplitMix64
+from fusedet.synthdata import ScenePair
 from tests.test_autodiff import rel_err
 
 
@@ -258,6 +260,18 @@ def test_align_before_upsample_keeps_the_fused_bytes():
     assert u_new.tobytes() == u_ref.tobytes()
     for name in g_ref:
         assert rel_err(g_new[name], g_ref[name]) < 1e-12, name
+
+
+def test_fuse_scene_bytes_of_the_training_forward():
+    """Inference convs run in row bands and take branch stacks one at a time; training keeps whole
+    column matrices and every stack.  At 192x128 both give the same fused bytes."""
+    model = ToyModel.create(ModelConfig(), seed=4)
+    rng = np.random.default_rng(13)
+    vis, ir = rng.uniform(size=(128, 192)), rng.uniform(size=(128, 192))
+    fused = harness.fuse_scene(model, ScenePair(vis, ir, np.zeros((0, 4))))
+    u, _ = model.forward_fusion(model.params.place(), Var.constant(vis[None]), Var.constant(ir[None]))
+    assert u.backward_fn is not None
+    assert fused.tobytes() == u.value.tobytes()
 
 
 class TestCoupling:

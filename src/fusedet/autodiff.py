@@ -209,7 +209,8 @@ def sigmoid(x: Var) -> Var:
     # exp(-|v|) never overflows: 1/(1+e) on v >= 0, e/(1+e) below
     e = np.exp(-np.abs(v))
     d = 1.0 + e
-    out = np.where(v >= 0, 1.0 / d, e / d)
+    out = e / d
+    np.divide(1.0, d, out=out, where=v >= 0)
 
     def backward(g):
         return [(x, g * out * (1.0 - out))]

@@ -210,12 +210,30 @@ def _check_finite(pair: sd.ScenePair) -> None:
             raise ValueError(f"scene {pair.scene_id or '<unnamed>'}: {name} image has {bad} non-finite pixel(s)")
 
 
-def fuse_scene(model: ToyModel, pair: sd.ScenePair) -> np.ndarray:
-    """Fused image for one scene; pure function of model and inputs."""
+def _fusion_pass(model: ToyModel, pair: sd.ScenePair) -> tuple[Var, list[Var], dict[str, Var]]:
+    """(fused image, pyramid, parameter constants) of one scene's no-gradient fusion forward."""
     _check_finite(pair)
     pvars = model.params.constants()
-    u, _ = model.forward_fusion(pvars, Var.constant(pair.visible[None]), Var.constant(pair.infrared[None]))
-    return u.value
+    u, pyramid = model.forward_fusion(pvars, Var.constant(pair.visible[None]), Var.constant(pair.infrared[None]))
+    return u, pyramid, pvars
+
+
+def fuse_scene(model: ToyModel, pair: sd.ScenePair) -> np.ndarray:
+    """Fused image for one scene; pure function of model and inputs."""
+    return _fusion_pass(model, pair)[0].value
+
+
+def _sample_scene(model: ToyModel, denoiser, steps: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Boxes sampled through one scene's denoiser, and their scores (see `detect_scene`)."""
+    schedule = dif.build_schedule(model.cfg.diffusion_steps)
+    rng = SplitMix64(seed).derive(0xDE7EC7)
+    boxes = dif.sample(denoiser, model.cfg.boxes_per_scene, steps, schedule, rng)
+    grid = dif.sample_time_grid(steps, schedule.steps)
+    t_last = grid[-2]  # smallest positive step visited
+    again = denoiser(dif.forward_noise(boxes, t_last, np.zeros_like(boxes), schedule), t_last)
+    residual = np.sqrt(np.sum((again - boxes) ** 2, axis=1))
+    scores = np.clip(1.0 - residual / 2.0, 0.0, 1.0)
+    return boxes, scores
 
 
 def detect_scene(
@@ -228,35 +246,36 @@ def detect_scene(
     diameter 2) to 1 - residual/2.
     """
     _check_finite(pair)
-    schedule = dif.build_schedule(model.cfg.diffusion_steps)
-    denoiser = model.denoiser_for_scene(pair.visible, pair.infrared)
-    rng = SplitMix64(seed).derive(0xDE7EC7)
-    boxes = dif.sample(denoiser, model.cfg.boxes_per_scene, steps, schedule, rng)
-    grid = dif.sample_time_grid(steps, schedule.steps)
-    t_last = grid[-2]  # smallest positive step visited
-    again = denoiser(dif.forward_noise(boxes, t_last, np.zeros_like(boxes), schedule), t_last)
-    residual = np.sqrt(np.sum((again - boxes) ** 2, axis=1))
-    scores = np.clip(1.0 - residual / 2.0, 0.0, 1.0)
-    return boxes, scores
+    return _sample_scene(model, model.denoiser_for_scene(pair.visible, pair.infrared), steps, seed)
+
+
+def _scene_seed(seed: int, i: int) -> int:
+    """Sampling seed of the i-th scene of a split detected with `seed`."""
+    return SplitMix64(seed).derive(0xE7A1, i).next_u64()
 
 
 def detect_split(
     model: ToyModel, batch: SceneBatch, steps: int, seed: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(boxes, scores) of every scene; scene i samples with the i-th seed derived from `seed`."""
-    return [
-        detect_scene(model, pair, steps, SplitMix64(seed).derive(0xE7A1, i).next_u64())
-        for i, pair in enumerate(batch.pairs)
-    ]
+    return [detect_scene(model, pair, steps, _scene_seed(seed, i)) for i, pair in enumerate(batch.pairs)]
 
 
 def evaluate_split(
     model: ToyModel, batch: SceneBatch, sampling_steps: int, seed: int
 ) -> dict:
-    """Fusion metrics per scene plus corpus-level detection mAP."""
-    fusions = [(fuse_scene(model, pair), pair.visible, pair.infrared) for pair in batch.pairs]
-    preds = detect_split(model, batch, sampling_steps, seed)
-    detections = [(pred, pair.boxes) for pred, pair in zip(preds, batch.pairs)]
+    """Fusion metrics per scene plus corpus-level detection mAP.
+
+    One backbone pass per scene: detection samples over the pyramid of the
+    scene's fusion forward, with `detect_split`'s seeds, so the report is
+    the one `fuse_scene` and `detect_split` outputs would give.
+    """
+    fusions, detections = [], []
+    for i, pair in enumerate(batch.pairs):
+        u, pyramid, pvars = _fusion_pass(model, pair)
+        denoiser = model.denoiser_for_pyramid(pvars, pyramid)
+        fusions.append((u.value, pair.visible, pair.infrared))
+        detections.append((_sample_scene(model, denoiser, sampling_steps, _scene_seed(seed, i)), pair.boxes))
     ids = [pair.scene_id or f"scene-{i:04d}" for i, pair in enumerate(batch.pairs)]
     return met.score_split(ids, fusions, detections)
 

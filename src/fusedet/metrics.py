@@ -3,10 +3,12 @@ and single-class detection mAP over IoU thresholds 0.50:0.05:0.95.
 
 All image metrics quantize to 256 levels; MI is the textbook joint-histogram
 definition in bits.  VIF is the pixel-domain multi-scale formulation with
-four scales and a fixed sensor-noise variance; each scale filters the stack
-(ref, dist, ref², dist², ref·dist) with a separable Gaussian window, in two
-1-D passes of `autodiff.correlate`.  mAP matching compares entries of one
-IoU matrix per scene (`iou_matrix`, the only IoU formula).
+four scales and a fixed sensor-noise variance.  `vif_fusion` runs the scales
+once for both sources: each scale filters one 8-map stack (x, y, u, x², y²,
+u², x·u, y·u) with a separable Gaussian window, in two 1-D passes of one
+`autodiff.correlate` call, and downsamples the (x, y, u) stack once.  mAP
+matching compares entries of one IoU matrix per scene (`iou_matrix`, the
+only IoU formula).
 """
 
 from __future__ import annotations
@@ -66,8 +68,7 @@ def entropy_en(img: np.ndarray) -> float:
 def _mi_pair(a: np.ndarray, b: np.ndarray) -> float:
     qa = _quantize(a).reshape(-1)
     qb = _quantize(b).reshape(-1)
-    joint = np.zeros((256, 256))
-    np.add.at(joint, (qa, qb), 1.0)
+    joint = np.bincount(qa * 256 + qb, minlength=256 * 256).astype(np.float64).reshape(256, 256)
     joint /= joint.sum()
     pa = joint.sum(axis=1)
     pb = joint.sum(axis=0)
@@ -84,42 +85,53 @@ def mutual_information(u: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     return _mi_pair(x, u) + _mi_pair(y, u)
 
 
-def _vif_single(ref: np.ndarray, dist: np.ndarray) -> float:
-    """Pixel-domain VIF of one reference/distorted pair on 0-255 intensities."""
-    ref = np.asarray(ref, dtype=np.float64) * 255.0
-    dist = np.asarray(dist, dtype=np.float64) * 255.0
-    num = den = 0.0
+def _vif_sources(refs: list[np.ndarray], dist: np.ndarray) -> list[float]:
+    """Pixel-domain VIF of each reference against one distorted image, on 0-255 intensities.
+
+    The scales run once over the stack (refs..., dist): each scale filters
+    the images, their squares and each ref·dist product in one `correlate`
+    call, and downsamples the image stack once.  Each reference's `num` and
+    `den` accumulate scale by scale, as they would alone.
+    """
+    imgs = np.stack([np.asarray(v, dtype=np.float64) for v in (*refs, dist)]) * 255.0
+    k = len(refs)
+    num, den = [0.0] * k, [0.0] * k
     for scale, win in enumerate(_VIF_WINDOWS, start=1):
         size = win.size
         if scale > 1:
-            ref, dist = correlate(np.stack([ref, dist]), (win, win), "valid")[:, ::2, ::2]
-        if ref.shape[0] < size or ref.shape[1] < size:
+            imgs = correlate(imgs, (win, win), "valid")[:, ::2, ::2]
+        if imgs.shape[1] < size or imgs.shape[2] < size:
             raise ValueError(
-                f"image too small for VIF scale {scale}: {ref.shape} vs {size}x{size} window"
+                f"image too small for VIF scale {scale}: {imgs.shape[1:]} vs {size}x{size} window"
             )
-        mu1, mu2, s11, s22, s12 = correlate(
-            np.stack([ref, dist, ref * ref, dist * dist, ref * dist]), (win, win), "valid"
-        )
-        var1 = np.maximum(s11 - mu1 * mu1, 0.0)
+        maps = correlate(np.concatenate([imgs, imgs * imgs, imgs[:k] * imgs[k]]), (win, win), "valid")
+        mu2, s22 = maps[k], maps[2 * k + 1]
         var2 = np.maximum(s22 - mu2 * mu2, 0.0)
-        cov = s12 - mu1 * mu2
-        live = var1 > _VIF_VAR_EPS
-        g = np.zeros_like(cov)
-        g[live] = cov[live] / var1[live]
-        var1 = np.where(live, var1, 0.0)
-        sv = var2 - g * cov
-        neg = g < 0
-        sv[neg] = var2[neg]
-        g[neg] = 0.0
         dead2 = var2 <= _VIF_VAR_EPS
-        g[dead2] = 0.0
-        sv[dead2] = 0.0
-        sv = np.maximum(sv, 0.0)
-        num += float(np.sum(np.log2(1.0 + g * g * var1 / (sv + VIF_SIGMA_NSQ))))
-        den += float(np.sum(np.log2(1.0 + var1 / VIF_SIGMA_NSQ)))
-    if den == 0.0:
-        return 1.0  # featureless reference carries no information either way
-    return num / den
+        for i in range(k):
+            mu1, s11, s12 = maps[i], maps[k + 1 + i], maps[2 * k + 2 + i]
+            var1 = np.maximum(s11 - mu1 * mu1, 0.0)
+            cov = s12 - mu1 * mu2
+            live = var1 > _VIF_VAR_EPS
+            g = np.zeros_like(cov)
+            g[live] = cov[live] / var1[live]
+            var1 = np.where(live, var1, 0.0)
+            sv = var2 - g * cov
+            neg = g < 0
+            sv[neg] = var2[neg]
+            g[neg] = 0.0
+            g[dead2] = 0.0
+            sv[dead2] = 0.0
+            sv = np.maximum(sv, 0.0)
+            num[i] += float(np.sum(np.log2(1.0 + g * g * var1 / (sv + VIF_SIGMA_NSQ))))
+            den[i] += float(np.sum(np.log2(1.0 + var1 / VIF_SIGMA_NSQ)))
+    # a featureless reference carries no information either way
+    return [n / d if d != 0.0 else 1.0 for n, d in zip(num, den)]
+
+
+def _vif_single(ref: np.ndarray, dist: np.ndarray) -> float:
+    """Pixel-domain VIF of one reference/distorted pair on 0-255 intensities."""
+    return _vif_sources([ref], dist)[0]
 
 
 def vif_fusion(u: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -127,7 +139,8 @@ def vif_fusion(u: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     u, x, y = (np.asarray(v, dtype=np.float64) for v in (u, x, y))
     if not (u.shape == x.shape == y.shape):
         raise ValueError(f"vif_fusion: shapes differ: {u.shape}, {x.shape}, {y.shape}")
-    return _vif_single(x, u) + _vif_single(y, u)
+    vx, vy = _vif_sources([x, y], u)
+    return vx + vy
 
 
 def fusion_metrics(u: np.ndarray, x: np.ndarray, y: np.ndarray) -> FusionMetricsReport:

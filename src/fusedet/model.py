@@ -6,6 +6,16 @@ average feature and per-channel activation centroids, the noisy
 coordinates and a sinusoidal time embedding, and maps them through a
 two-layer perceptron whose output layer is linear (no sigmoid) to
 predicted clean boxes.  Only the backbone is shared between tasks.
+
+Serving splits the head in two.  The pyramid and the box-independent
+scene summary (`scene_features`: mass and centroids) are built once per
+scene; each denoiser call, four DDIM steps and the scoring re-query,
+redoes only the per-box part: the gather at the box centers and the MLP.
+Training builds the summary inside `forward_denoiser`, after the gather:
+`autodiff.gradients` sums a node's incoming gradients in descending node
+order and the deepest map has four consumers (the gather, the mass and the
+two centroid products), so creating the summary first would change the
+float bytes of its gradient.
 """
 
 from __future__ import annotations
@@ -81,6 +91,16 @@ def _init_values(cfg: ModelConfig, rng) -> dict[str, np.ndarray]:
     return values
 
 
+def _squash(v: Var) -> Var:
+    """Bounded map v/(1+|v|).
+
+    Backbone activations are unnormalized, and an unbounded detector input
+    feeds its own gradient back into the backbone, which plain GD cannot
+    contain.
+    """
+    return v / (ad.absolute(v) + 1.0)
+
+
 class ToyModel:
     """Parameter store plus the forward passes of both heads."""
 
@@ -95,39 +115,44 @@ class ToyModel:
     def forward_fusion(self, pvars: dict[str, Var], x: Var, y: Var) -> tuple[Var, list[Var]]:
         return fusion_forward(pvars, x, y, self.cfg.fusion)
 
-    def forward_denoiser(
-        self, pvars: dict[str, Var], pyramid: list[Var], z_t: np.ndarray, t: int
-    ) -> Var:
-        """Predicted clean boxes in [0,1] coordinates for one noisy latent.
+    def scene_features(self, pyramid: list[Var]) -> Var:
+        """Box-independent (1, 3C) summary of the deepest map: squashed mass and row and column centroids.
 
-        Scene conditioning mixes the feature at the noisy box center, the
-        global average feature, and per-channel activation centroids (the
-        mean position of each channel's mass) — average pooling alone is
-        position-blind, which a box regressor cannot afford.
+        Per-channel activation centroids (the mean position of each
+        channel's mass) give the head where things are; average pooling
+        alone is position-blind, which a box regressor cannot afford.
         """
         feat = pyramid[-1]
         c, h, w = feat.value.shape
-        n = z_t.shape[0]
-        centers = unscale_boxes(z_t)[:, :2]
-        cols = np.clip((centers[:, 0] * w).astype(np.intp), 0, w - 1)
-        rows = np.clip((centers[:, 1] * h).astype(np.intp), 0, h - 1)
-
-        def squash(v):
-            # bounded map v/(1+|v|): backbone activations are unnormalized and
-            # an unbounded detector input feeds its own gradient back into the
-            # backbone, which plain GD cannot contain
-            return v / (ad.absolute(v) + 1.0)
-
-        local = squash(ad.gather_pixels(feat, rows, cols))
         mass = ad.mean(feat, axis=(1, 2))
         row_grid = np.broadcast_to(((np.arange(h) + 0.5) / h)[None, :, None], (c, h, w))
         col_grid = np.broadcast_to(((np.arange(w) + 0.5) / w)[None, None, :], (c, h, w))
         denom = mass + 1e-6  # features are post-ReLU, so mass is nonnegative
         cen_r = ad.mean(feat * Var.constant(row_grid.copy()), axis=(1, 2)) / denom
         cen_c = ad.mean(feat * Var.constant(col_grid.copy()), axis=(1, 2)) / denom
-        scene_vec = ad.reshape(ad.concat([squash(mass), cen_r, cen_c], axis=0), (1, 3 * c))
+        return ad.reshape(ad.concat([_squash(mass), cen_r, cen_c], axis=0), (1, 3 * c))
+
+    def forward_denoiser(
+        self, pvars: dict[str, Var], pyramid: list[Var], z_t: np.ndarray, t: int, scene: Var | None = None
+    ) -> Var:
+        """Predicted clean boxes in [0,1] coordinates for one noisy latent.
+
+        Mixes the feature at each noisy box center with the scene summary
+        of `scene_features`; pass `scene` to reuse one summary across calls
+        on the same pyramid.  Without it the summary is built after the
+        box gather, the node order training's gradient bytes depend on.
+        """
+        feat = pyramid[-1]
+        _, h, w = feat.value.shape
+        n = z_t.shape[0]
+        centers = unscale_boxes(z_t)[:, :2]
+        cols = np.clip((centers[:, 0] * w).astype(np.intp), 0, w - 1)
+        rows = np.clip((centers[:, 1] * h).astype(np.intp), 0, h - 1)
+        local = _squash(ad.gather_pixels(feat, rows, cols))
+        if scene is None:
+            scene = self.scene_features(pyramid)
         ones = Var.constant(np.ones((n, 1)))
-        scene_tiled = ad.matmul(ones, scene_vec)
+        scene_tiled = ad.matmul(ones, scene)
         zvar = Var.constant(z_t / BOX_SCALE)  # keep MLP inputs O(1)
         temb = Var.constant(np.tile(time_embedding(t, self.cfg.diffusion_steps, self.cfg.time_embed_dim), (n, 1)))
         inp = ad.concat([local, scene_tiled, zvar, temb], axis=1)
@@ -139,10 +164,14 @@ class ToyModel:
         pvars = self.params.constants()
         x = Var.constant(np.asarray(visible)[None])
         y = Var.constant(np.asarray(infrared)[None])
-        pyramid = backbone_forward(pvars, x, y, self.cfg.fusion)
+        return self.denoiser_for_pyramid(pvars, backbone_forward(pvars, x, y, self.cfg.fusion))
+
+    def denoiser_for_pyramid(self, pvars: dict[str, Var], pyramid: list[Var]):
+        """Closure (z_t, t) -> predicted boxes over a computed pyramid, with its scene summary built once."""
+        scene = self.scene_features(pyramid)
 
         def denoiser(z_t: np.ndarray, t: int) -> np.ndarray:
-            return self.forward_denoiser(pvars, pyramid, z_t, t).value
+            return self.forward_denoiser(pvars, pyramid, z_t, t, scene).value
 
         return denoiser
 

@@ -231,6 +231,29 @@ class TestDetect:
         np.testing.assert_allclose(boxes, target, atol=1e-12)
         np.testing.assert_allclose(scores, 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("width, height", [(64, 64), (192, 128)])
+    def test_scene_summary_built_once_gives_the_bytes_of_one_per_call(self, width, height, monkeypatch):
+        model = ToyModel.create(ModelConfig(), 8)
+        pair = sd.generate_scene(sd.SceneSpec(seed=21, width=width, height=height))
+        summaries = []
+        scene_features = model.scene_features
+        monkeypatch.setattr(model, "scene_features", lambda pyr: summaries.append(1) or scene_features(pyr))
+        got = {steps: detect_scene(model, pair, steps, seed=3) for steps in (1, 4)}
+        assert len(summaries) == 2  # one per scene served
+
+        def rebuilding(vis, ir):
+            """The summary rebuilt inside every denoiser call, as training builds it."""
+            pv = model.params.constants()
+            pyramid = model.forward_fusion(pv, ad.Var.constant(vis[None]), ad.Var.constant(ir[None]))[1]
+            return lambda z, t: model.forward_denoiser(pv, pyramid, z, t).value
+
+        monkeypatch.setattr(model, "denoiser_for_scene", rebuilding)
+        for steps, (boxes, scores) in got.items():
+            summaries.clear()
+            want_boxes, want_scores = detect_scene(model, pair, steps, seed=3)
+            assert len(summaries) == steps + 1  # each DDIM step and the scoring re-query
+            assert boxes.tobytes() == want_boxes.tobytes() and scores.tobytes() == want_scores.tobytes()
+
     def test_deterministic_given_seed(self, val_batch):
         model = ToyModel.create(ModelConfig(), 5)
         b1, s1 = detect_scene(model, val_batch.pairs[2], 4, seed=9)
@@ -306,6 +329,28 @@ class TestEvaluateSplit:
         for i, (pair, (boxes, scores)) in enumerate(zip(val_batch.pairs, preds)):
             want_boxes, want_scores = detect_scene(model, pair, 2, SplitMix64(11).derive(0xE7A1, i).next_u64())
             assert boxes.tobytes() == want_boxes.tobytes() and scores.tobytes() == want_scores.tobytes()
+
+    def test_one_backbone_pass_per_scene_with_the_report_of_separate_fuse_and_detect(self, val_batch, monkeypatch):
+        from fusedet import fusion_net, model as model_mod
+
+        model = ToyModel.create(ModelConfig(), 6)
+        fusions = [(fuse_scene(model, p), p.visible, p.infrared) for p in val_batch.pairs]
+        preds = detect_split(model, val_batch, 2, seed=5)
+        want = met.score_split(
+            [p.scene_id for p in val_batch.pairs], fusions, [(pr, p.boxes) for pr, p in zip(preds, val_batch.pairs)]
+        )
+        calls = []
+        backbone = fusion_net.backbone_forward
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return backbone(*args, **kwargs)
+
+        monkeypatch.setattr(fusion_net, "backbone_forward", counted)
+        monkeypatch.setattr(model_mod, "backbone_forward", counted)
+        got = evaluate_split(model, val_batch, sampling_steps=2, seed=5)
+        assert len(calls) == len(val_batch.pairs)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
     def test_report_schema(self, val_batch):
         model = ToyModel.create(ModelConfig(), 6)

@@ -74,6 +74,32 @@ class TestMutualInformation:
         with pytest.raises(ValueError, match="shapes"):
             met.mutual_information(np.zeros((4, 4)), np.zeros((4, 4)), np.zeros((5, 5)))
 
+    @pytest.mark.parametrize("case", ["random", "constant", "extremes"])
+    def test_bincount_histogram_bytes_of_add_at(self, case):
+        rng = np.random.default_rng(8)
+        a, b = rng.uniform(size=(128, 192)), rng.uniform(size=(128, 192))
+        if case == "constant":
+            a = np.full((128, 192), 0.37)
+        elif case == "extremes":
+            a = np.where(a < 0.5, -0.2, 1.3)  # clipped to levels 0 and 255
+            b[0, :2] = 0.0, 1.0
+        assert met._mi_pair(a, b) == _mi_pair_add_at(a, b)
+        assert met._mi_pair(b, a) == _mi_pair_add_at(b, a)
+
+
+def _mi_pair_add_at(a: np.ndarray, b: np.ndarray) -> float:
+    """MI of one pair with the joint histogram filled by np.add.at, one count at a time."""
+    qa = met._quantize(a).reshape(-1)
+    qb = met._quantize(b).reshape(-1)
+    joint = np.zeros((256, 256))
+    np.add.at(joint, (qa, qb), 1.0)
+    joint /= joint.sum()
+    pa = joint.sum(axis=1)
+    pb = joint.sum(axis=0)
+    nz = joint > 0
+    ratio = joint[nz] / (pa[:, None] * pb[None, :])[nz]
+    return float(np.sum(joint[nz] * np.log2(ratio)))
+
 
 def _filter_valid_dense(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """VIF's former filter, a dense loop over the window's taps."""
@@ -151,6 +177,13 @@ class TestVif:
         x = 0.2 + 0.5 * (smooth - smooth.min()) / (smooth.max() - smooth.min())
         u = np.clip(1.2 * x, 0.0, 1.0)
         assert met._vif_single(x, u) > 1.0
+
+    @pytest.mark.parametrize("constant_ref", [False, True])
+    def test_both_sources_in_one_pass_equal_two_single_passes(self, constant_ref):
+        scene = sd.generate_scene(sd.SceneSpec(seed=12, width=192, height=128))
+        x = np.full((128, 192), 0.4) if constant_ref else scene.visible
+        u = np.clip(0.6 * scene.visible + 0.4 * scene.infrared, 0.0, 1.0)
+        assert met.vif_fusion(u, x, scene.infrared) == met._vif_single(x, u) + met._vif_single(scene.infrared, u)
 
     def test_too_small_image_rejected(self):
         with pytest.raises(ValueError, match="too small"):

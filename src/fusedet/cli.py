@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -68,6 +69,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", dest="out_dir", type=str, default=None)
 
 
+@functools.cache  # one tree per process: building it costs ~30x a parse
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fusedet", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -222,6 +224,8 @@ def _arm(cfg: RunConfig, seeds: list[int], **changes) -> list[RunConfig]:
     """The config of one experiment arm at each seed; a setting no run can use is a usage error."""
     if not seeds:
         raise _UsageError("an experiment needs at least one seed")
+    if cfg.iterations < 1:  # an untrained arm has no final losses to report
+        raise _UsageError(f"an experiment needs iterations of at least 1, got {cfg.iterations}")
     try:
         return [dataclasses.replace(cfg, seed=seed, **changes) for seed in seeds]
     except ValueError as e:
@@ -229,10 +233,8 @@ def _arm(cfg: RunConfig, seeds: list[int], **changes) -> list[RunConfig]:
 
 
 def _run_experiment(out_dir: str, stem: str, arms: dict[str, list[RunConfig]]) -> int:
-    """Run every config of every arm, in order, then write and print their report."""
-    report = harness.experiment_report(
-        {name: [harness.run_arm(arm_cfg)[0] for arm_cfg in configs] for name, configs in arms.items()}
-    )
+    """Run every config of every arm, then write and print their report."""
+    report, _ = harness.run_arms(arms)
     json_path, csv_path = harness.write_experiment_report(out_dir, stem, report)
     print(json.dumps({name: arm["mean"] for name, arm in report["arms"].items()}, sort_keys=True))
     print(f"reports: {json_path} {csv_path}")
@@ -251,7 +253,7 @@ def _cmd_exp_branches(args) -> int:
     seeds = _parse_ints(args.seeds, "seed")
     branch_sets = [tuple(_parse_ints(part, "branch")) for part in args.branch_sets.split(";") if part]
     arms = {",".join(map(str, b)): _arm(cfg, seeds, branches=b) for b in branch_sets}
-    if not arms or len(arms) < len(branch_sets):
+    if not arms or len(set(map(frozenset, branch_sets))) < len(branch_sets):
         raise _UsageError(f"bad branch sets {args.branch_sets!r}; expected distinct sets separated by ';'")
     return _run_experiment(cfg.out_dir, "exp_branches", arms)
 

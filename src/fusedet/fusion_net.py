@@ -59,6 +59,8 @@ class FusionNetConfig:
     def validate(self) -> None:
         if 0 not in self.branches:
             raise ValueError("branch set must include the pixel branch 0")
+        if len(set(self.branches)) < len(self.branches):
+            raise ValueError(f"branch set {list(self.branches)} repeats an id")
         bad = [b for b in self.branches if b < 0 or b > self.levels]
         if bad:
             raise ValueError(f"branch ids {bad} outside 0..{self.levels}")

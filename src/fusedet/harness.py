@@ -9,8 +9,10 @@ the (optionally aligned) combined gradient.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -291,6 +293,51 @@ def run_arm(config: RunConfig) -> tuple[dict, TrainLog]:
         model, SceneBatch.from_dir(config.dataset_root, config.eval_split), config.sampling_steps, config.seed
     )
     return {"seed": config.seed, "final_loss_u": final_u, "final_loss_d": final_d, **ev["aggregate"]}, log
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_arms(arms: dict[str, list[RunConfig]]) -> tuple[dict, dict[str, list[TrainLog]]]:
+    """`run_arm` for every config of every named arm: the experiment report and each arm's logs.
+
+    The runs are seeded and independent, so they go to min(runs, cpus)
+    worker processes.  Each worker starts from a fresh interpreter with one
+    BLAS thread, unless the environment sets a count: a forked worker keeps
+    the parent's BLAS threads, and on two cores two workers with two
+    busy-waiting threads each ran slower than serial runs.  Each result
+    lands at its config's place, so the report has the bytes of serial
+    runs.  A run is handed out only when a worker is free, so the first run
+    to raise re-raises here once the runs in flight end, and no later run
+    starts.  Workers import the caller's main module, so a script that
+    calls this needs the `if __name__ == "__main__"` guard.
+    """
+    # imported here: the pool's ~30 modules add ~2 MB to every process that imports harness
+    import multiprocessing
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
+    configs = [cfg for arm_configs in arms.values() for cfg in arm_configs]
+    workers = min(len(configs), os.cpu_count() or 1)
+    results = [None] * len(configs)
+    pinned = [var for var in _BLAS_THREAD_VARS if var not in os.environ]
+    os.environ.update({var: "1" for var in pinned})  # read by each worker as its first job starts it
+    try:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            # not pool.map: it queues one run beyond the workers, which then runs even after a failure
+            todo = iter(enumerate(configs))
+            running = {pool.submit(run_arm, cfg): i for i, cfg in itertools.islice(todo, workers)}
+            while running:
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    results[running.pop(future)] = future.result()
+                running.update({pool.submit(run_arm, cfg): i for i, cfg in itertools.islice(todo, len(done))})
+    finally:
+        for var in pinned:
+            del os.environ[var]
+    it = iter(results)
+    runs = {name: [next(it) for _ in arm_configs] for name, arm_configs in arms.items()}
+    report = experiment_report({name: [row for row, _ in arm_runs] for name, arm_runs in runs.items()})
+    return report, {name: [log for _, log in arm_runs] for name, arm_runs in runs.items()}
 
 
 def experiment_report(runs: dict[str, list[dict]]) -> dict:

@@ -6,10 +6,8 @@ runtime budgets are asserted alongside the numeric criteria.
 """
 
 import json
-import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +22,7 @@ from fusedet import synthdata as sd
 from fusedet.autodiff import Var
 from fusedet.cli import main as cli_main
 from fusedet.fusion_net import FusionNetConfig, fusion_forward, init_fusion_params
-from fusedet.harness import RunConfig, TrainLog, experiment_report, run_arm, write_experiment_report
+from fusedet.harness import RunConfig, run_arms, write_experiment_report
 from fusedet.model import ModelConfig, ToyModel
 from fusedet.rng import SplitMix64
 
@@ -240,21 +238,10 @@ def test_criterion_4_metric_identities():
 # 5+6. alignment trend experiment and its gradient-dominance data
 
 
+# The training runs of criteria 5-7 go through `harness.run_arms`, the runner
+# of `exp-gmta` and `exp-branches`: one worker process per core, one BLAS
+# thread each, and the rows and logs of serial runs.
 EXPERIMENT_SEEDS = [0, 1, 2, 3, 4]
-
-# The training runs of criteria 5-7 are independent and seeded, so they run in
-# worker processes (one BLAS thread each): the same rows and logs in about
-# half the wall time on two cores.
-WORKERS = min(2, os.cpu_count() or 1)
-
-
-def _run_arms(arms: dict[str, list[RunConfig]]) -> tuple[dict, dict[str, list[TrainLog]]]:
-    """Every run of every named arm over the worker pool: the experiment report and each arm's logs."""
-    with ProcessPoolExecutor(max_workers=WORKERS) as pool:
-        results = iter(pool.map(run_arm, [cfg for configs in arms.values() for cfg in configs]))
-        runs = {name: [next(results) for _ in configs] for name, configs in arms.items()}
-    report = experiment_report({name: [row for row, _ in arm_runs] for name, arm_runs in runs.items()})
-    return report, {name: [log for _, log in arm_runs] for name, arm_runs in runs.items()}
 
 
 @pytest.fixture(scope="module")
@@ -272,7 +259,7 @@ def gmta_experiment(tmp_path_factory):
         dataset_root=str(root), out_dir=str(tmp_path_factory.mktemp("exp_out")),
     )
     t0 = time.time()
-    report, logs = _run_arms({
+    report, logs = run_arms({
         name: [replace(base, seed=seed, gmta=flag) for seed in EXPERIMENT_SEEDS]
         for name, flag in (("with_gmta", True), ("without_gmta", False))
     })
@@ -345,9 +332,9 @@ def test_criterion_7_branch_trend(tmp_path):
         seed=0, iterations=400, learning_rate=0.05, dataset_root=str(root),
         out_dir=str(tmp_path / "out"),
     )
-    # one job per (branch set, seed), so the costlier full-set runs spread over both workers
+    # one job per (branch set, seed), so the costlier full-set runs spread over the workers
     branch_sets = {"0": (0,), "0,1,2,3": (0, 1, 2, 3)}
-    report, _ = _run_arms({
+    report, _ = run_arms({
         name: [replace(cfg, seed=seed, branches=branches) for seed in EXPERIMENT_SEEDS]
         for name, branches in branch_sets.items()
     })

@@ -5,6 +5,10 @@ import csv
 import dataclasses
 import hashlib
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -184,14 +188,33 @@ class TestExperiments:
         ["exp-branches", "--branch-sets", ";"],
         ["exp-branches", "--branch-sets", "0;1,2"],
         ["exp-branches", "--branch-sets", "0;0,1;0"],
+        ["exp-branches", "--branch-sets", "0,1;1,0"],
+        ["exp-branches", "--branch-sets", "0,0,1"],
+        ["exp-branches", "--iterations", "0"],
         ["exp-gmta", "--seeds", ""],
+        ["exp-gmta", "--iterations", "0"],
     ])
     def test_bad_input_is_usage_error_before_any_training(self, tmp_path, tiny_dataset, monkeypatch, argv):
         calls = []
+        # run_arms trains in worker processes, which a patched harness.train does not reach
         monkeypatch.setattr(harness, "train", lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(harness, "run_arms", lambda *a, **kw: calls.append(a))
         out = tmp_path / "o"
-        assert main([*argv, "--dataset-root", str(tiny_dataset), "--iterations", "1", "--out", str(out)]) == 1
+        command, *flags = argv
+        assert main([command, "--dataset-root", str(tiny_dataset), "--iterations", "1", "--out", str(out), *flags]) == 1
         assert calls == [] and not out.exists()
+
+    def test_a_failing_run_exits_two_naming_the_scene_and_writes_no_report(self, tmp_path, tiny_dataset, capsys):
+        root = tmp_path / "data"
+        pair = sd.load_scene(tiny_dataset, "train", "scene-0000")
+        wide = np.pad(pair.visible, ((0, 0), (0, 2)))
+        sd.write_scene(root, "train", "scene-0000", pair)
+        sd.write_scene(root, "train", "scene-0001", dataclasses.replace(pair, visible=wide, infrared=wide))
+        out = tmp_path / "o"
+        rc = main(["exp-gmta", "--dataset-root", str(root), "--seeds", "0", "--iterations", "1", "--out", str(out)])
+        assert rc == 2
+        assert "train: scene scene-0001: image size 64x66 is not a multiple of 4" in capsys.readouterr().err
+        assert not out.exists() and not multiprocessing.active_children()
 
     @pytest.mark.parametrize("argv, stem, arms", [
         (["exp-gmta"], "exp_gmta", ["with_gmta", "without_gmta"]),
@@ -223,6 +246,18 @@ class TestGmtaDemo:
         payload = json.loads(capsys.readouterr().out)
         assert payload["rank"] == 2
         assert payload["kappa_after"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_no_value_leaks_from_one_call_into_the_next(self, capsys):
+        """The parser is built once per process; a second call prints what a fresh process prints."""
+        assert main(["gmta-demo", "--seed", "5", "--rows", "6"]) == 0
+        assert main(["gmta-demo", "--rows", "6"]) == 0
+        first, second = capsys.readouterr().out.split("\n}\n", 1)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "fusedet.cli", "gmta-demo", "--rows", "6"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        ).stdout
+        assert second == fresh and first + "\n}\n" != fresh
 
 
 class TestEval:

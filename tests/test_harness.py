@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -368,6 +370,28 @@ class TestExperiments:
         assert row == again
         assert set(row) == {"seed", *harness.SUMMARY_KEYS}
         assert (row["final_loss_u"], row["final_loss_d"]) == log.final_losses()
+
+    def test_run_arms_gives_the_rows_and_logs_of_serial_runs_in_order(self, tiny_dataset, monkeypatch):
+        arms = {
+            name: [_cfg(tiny_dataset, seed=seed, iterations=3, gmta=flag) for seed in (1, 0)]
+            for name, flag in (("with_gmta", True), ("without_gmta", False))
+        }
+        for var in harness._BLAS_THREAD_VARS:  # so run_arms has to set, and then restore, all three
+            monkeypatch.delenv(var, raising=False)
+        env = dict(os.environ)
+        report, logs = harness.run_arms(arms)
+        assert dict(os.environ) == env
+        assert not multiprocessing.active_children()
+        serial = {name: [harness.run_arm(cfg) for cfg in configs] for name, configs in arms.items()}
+        assert report == harness.experiment_report({name: [row for row, _ in runs] for name, runs in serial.items()})
+        assert list(report["arms"]) == list(arms) and report["seeds"] == [1, 0]
+
+        def records(arm_logs):
+            return [[json.dumps(r.to_json(), sort_keys=True) for r in log.records] for log in arm_logs]
+
+        assert {name: records(arm_logs) for name, arm_logs in logs.items()} == {
+            name: records(log for _, log in runs) for name, runs in serial.items()
+        }
 
     def test_report_keeps_arm_order_with_one_csv_row_per_run_and_mean(self, tmp_path):
         def row(seed, value):

@@ -206,10 +206,11 @@ def relu(x: Var) -> Var:
 
 def sigmoid(x: Var) -> Var:
     v = x.value
-    # exp(-|v|) never overflows: 1/(1+e) on v >= 0, e/(1+e) below
-    e = np.exp(-np.abs(v))
+    # exp(-|v|) never overflows: 1/(1+e) on v >= 0, e/(1+e) below; e becomes the output in place
+    e = np.abs(v)
+    np.exp(np.negative(e, out=e), out=e)
     d = 1.0 + e
-    out = e / d
+    out = np.divide(e, d, out=e)
     np.divide(1.0, d, out=out, where=v >= 0)
 
     def backward(g):
@@ -311,7 +312,20 @@ def _col2im(gcols: np.ndarray, shape: tuple[int, int, int], kh: int, kw: int, st
     return gx
 
 
-# im2col bytes per band when no weight gradient keeps the columns (see conv2d)
+def _region_cols(masks: np.ndarray, x: np.ndarray, r0: int, r1: int, buf: np.ndarray | None) -> np.ndarray:
+    """Rows r0:r1 of the region stack of masks (M,H,W) over x (C,H,W) as an (M*C, rows*W) matrix.
+
+    Row m*C+c is masks[m] * x[c]; it is written into the front of `buf` when one is given.
+    """
+    m, c = masks.shape[0], x.shape[0]
+    a, f = masks[:, r0:r1].reshape(m, 1, -1), x[:, r0:r1].reshape(1, c, -1)
+    size = m * c * a.shape[2]
+    cols = (np.empty(size) if buf is None else buf[:size]).reshape(m, c, -1)
+    np.multiply(a, f, out=cols)
+    return cols.reshape(m * c, -1)
+
+
+# column bytes per band when no weight gradient keeps the columns (see conv2d)
 _BAND_BYTES = 1 << 19
 # A band's GEMM must round each output as the full-image GEMM does.  BLAS
 # rounds the columns of a partial tile by another kernel, so every band spans
@@ -323,16 +337,23 @@ _BAND_COLS = 64
 _BAND_DEPTH = 256
 
 
-def conv2d(x: Var, w: Var, b: Var | None = None, stride: int = 1) -> Var:
-    """2-D convolution, CHW layout, symmetric zero padding of kh//2, kw//2.
+def conv2d(x: Var, w: Var, b: Var | None = None, stride: int = 1, relu: bool = False,
+           masks: Var | None = None) -> Var:
+    """2-D convolution, CHW layout, symmetric zero padding of kh//2, kw//2, then ReLU if `relu`.
 
-    Stride 1 preserves the spatial size; stride 2 halves it (ceil).  A k×k
-    kernel is one GEMM per band of output rows over those rows' im2col
-    columns, each band writing its own slice of the output.  When `w` needs a
-    gradient the one band is the whole image, kept for the weight gradient.
-    Otherwise the bands refill one buffer of _BAND_BYTES (512 KiB, or the
-    rows of one whole tile if more), with the output bytes of the full-image
-    GEMM.  512 KiB fused a 192×128 scene fastest among 256 KiB to 2 MiB.
+    Stride 1 preserves the spatial size; stride 2 halves it (ceil).  The
+    output is one GEMM per band of output rows over those rows' columns,
+    each band writing its own slice of the output; the bias and the ReLU are
+    applied in place on it, so no pre-activation is kept, and the backward
+    masks the gradient with ``out > 0``.  The columns of a k×k kernel come
+    from im2col; with `masks` (M,H,W) the input is the region stack of M·C
+    channels, channel m·C+c being masks[m]·x[c], under a 1×1 kernel.  When
+    `w` needs a gradient the one band is the whole image, kept for the
+    weight gradient.  Otherwise the bands refill one buffer of _BAND_BYTES
+    (512 KiB, or the rows of one whole tile if more), with the output bytes
+    of the full-image GEMM.  512 KiB fused a 192×128 scene fastest among
+    256 KiB to 2 MiB.  A plain 1×1 stride-1 kernel is one GEMM on the
+    input's own (C, H*W) view: no im2col copy, no col2im.
     """
     w = _lift(w)
     if stride not in (1, 2):
@@ -341,22 +362,29 @@ def conv2d(x: Var, w: Var, b: Var | None = None, stride: int = 1) -> Var:
         raise ShapeError(f"conv2d: expected CHW input and OIKK kernel, got {_shp(x.value)} and {_shp(w.value)}")
     c_in, h, width = x.value.shape
     c_out, c_k, kh, kw = w.value.shape
-    if c_k != c_in:
-        raise ShapeError(f"conv2d: kernel expects {c_k} input channels, input has {c_in}")
+    depth_in = c_in
+    if masks is not None:
+        masks = _lift(masks)
+        if masks.value.ndim != 3 or masks.value.shape[1:] != (h, width):
+            raise ShapeError(f"conv2d: masks {_shp(masks.value)} do not match input {_shp(x.value)}")
+        if (kh, kw, stride) != (1, 1, 1):
+            raise ShapeError(f"conv2d: a region stack takes a 1x1 stride-1 kernel, got {kh}x{kw} stride {stride}")
+        depth_in = masks.value.shape[0] * c_in
+    if c_k != depth_in:
+        raise ShapeError(f"conv2d: kernel expects {c_k} input channels, input has {depth_in}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"conv2d: kernel dims must be odd, got {kh}x{kw}")
     if b is not None:
         b = _lift(b)
         if b.value.shape != (c_out,):
             raise ShapeError(f"conv2d: bias shape {_shp(b.value)} != ({c_out},)")
-    wm = w.value.reshape(c_out, c_in * kh * kw)
-    # a pointwise kernel is one GEMM on the input's own (C, H*W) view: no im2col copy, no col2im
-    pointwise = kh == kw == 1 and stride == 1
+    wm = w.value.reshape(c_out, c_k * kh * kw)
+    h_out, w_out = (h - 1) // stride + 1, (width - 1) // stride + 1
+    pointwise = kh == kw == 1 and stride == 1 and masks is None
     if pointwise:
-        cols, h_out, w_out = x.value.reshape(c_in, -1), h, width
+        cols = x.value.reshape(c_in, -1)
         out = wm @ cols
     else:
-        h_out, w_out = (h - 1) // stride + 1, (width - 1) // stride + 1
         step = _BAND_COLS // math.gcd(w_out, _BAND_COLS)  # rows per whole number of tiles
         rows = _BAND_BYTES // (8 * wm.shape[1] * w_out) // step * step
         tiled = h_out * w_out % _BAND_COLS == 0 and wm.shape[1] <= _BAND_DEPTH
@@ -366,20 +394,36 @@ def conv2d(x: Var, w: Var, b: Var | None = None, stride: int = 1) -> Var:
         out = np.empty((c_out, h_out * w_out))
         for r0 in range(0, h_out, band):
             r1 = min(r0 + band, h_out)
-            cols, _, _ = _im2col(x.value, kh, kw, stride, r0, r1, buf)
+            if masks is None:
+                cols, _, _ = _im2col(x.value, kh, kw, stride, r0, r1, buf)
+            else:
+                cols = _region_cols(masks.value, x.value, r0, r1, buf)
             np.matmul(wm, cols, out=out[:, r0 * w_out:r1 * w_out])
     out = out.reshape(c_out, h_out, w_out)
     if b is not None:
         out += b.value[:, None, None]
+    if relu:
+        np.maximum(out, 0.0, out=out)
 
     def backward(g):
+        if relu:
+            g = g * (out > 0.0)
         gf = g.reshape(c_out, h_out * w_out)
         grads = []
-        if x.requires_grad:
+        if x.requires_grad or (masks is not None and masks.requires_grad):
             # outer product at one output channel: ~5x faster broadcast, zero signs aside (_col2im drops them)
             gcols = wm.T * gf if c_out == 1 else wm.T @ gf
-            gx = gcols if pointwise else _col2im(gcols, x.value.shape, kh, kw, stride, h_out, w_out)
-            grads.append((x, gx.reshape(x.value.shape)))
+            if masks is not None:
+                g3 = gcols.reshape(masks.value.shape[0], c_in, -1)
+                if masks.requires_grad:
+                    gm = (g3 * x.value.reshape(1, c_in, -1)).sum(axis=1)
+                    grads.append((masks, gm.reshape(masks.value.shape)))
+                if x.requires_grad:
+                    gx = (g3 * masks.value.reshape(-1, 1, h * width)).sum(axis=0)
+                    grads.append((x, gx.reshape(x.value.shape)))
+            else:
+                gx = gcols if pointwise else _col2im(gcols, x.value.shape, kh, kw, stride, h_out, w_out)
+                grads.append((x, gx.reshape(x.value.shape)))
         if w.requires_grad:
             # the bytes of gf @ cols.T, ~1.6x faster at 16 output channels
             grads.append((w, (cols @ gf.T).T.reshape(w.value.shape)))
@@ -387,8 +431,7 @@ def conv2d(x: Var, w: Var, b: Var | None = None, stride: int = 1) -> Var:
             grads.append((b, g.sum(axis=(1, 2))))
         return grads
 
-    req = x.requires_grad or w.requires_grad or (b is not None and b.requires_grad)
-    return _record(out, backward, req)
+    return _record(out, backward, any(v is not None and v.requires_grad for v in (x, w, b, masks)))
 
 
 def _corr1(img: np.ndarray, vec: np.ndarray, axis: int, same: bool) -> np.ndarray:
@@ -556,27 +599,6 @@ def spatial_norm(x: Var, gamma: Var, beta: Var, eps: float = 1e-5) -> Var:
 
     req = x.requires_grad or gamma.requires_grad or beta.requires_grad
     return _record(out, backward, req)
-
-
-def rowwise_outer(a: Var, b: Var) -> Var:
-    """All pairwise elementwise row products: (M,K),(C,K) -> (M*C,K).
-
-    Row m*C+c of the output is a[m] * b[c]; this is the mask-weighting of
-    feature rows used by the region branches.
-    """
-    a, b = _lift(a), _lift(b)
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[1]:
-        raise ShapeError(f"rowwise_outer: incompatible shapes {_shp(a.value)} and {_shp(b.value)}")
-    m, k = a.value.shape
-    c = b.value.shape[0]
-    out = (a.value[:, None, :] * b.value[None, :, :]).reshape(m * c, k)
-
-    def backward(g):
-        g3 = g.reshape(m, c, k)
-        return [(a, (g3 * b.value[None, :, :]).sum(axis=1)),
-                (b, (g3 * a.value[:, None, :]).sum(axis=0))]
-
-    return _record(out, backward, a.requires_grad or b.requires_grad)
 
 
 def gather_pixels(x: Var, rows: np.ndarray, cols: np.ndarray) -> Var:

@@ -4,10 +4,13 @@ A small shared backbone turns each modality into a feature pyramid; the
 per-level features of the two modalities are summed.  A pixel branch
 fuses the raw pair at full resolution, and each enabled region branch
 projects its pyramid level, scores it against a bank of learnable region
-prompts to get nonnegative soft masks, and emits mask-weighted feature
-stacks.  Branch outputs are channel-aligned, then upsampled, merged into a
+prompts to get nonnegative soft masks, whose mask-weighted feature stack
+(M*C channels) is channel-aligned by a 1x1 conv.  When no gradient is
+needed, that stack is never held whole: ``conv2d`` builds it band by band
+into the align GEMM.  Aligned branch outputs are upsampled, merged into a
 sigmoid gate that modulates the pixel branch, and a five-conv
-reconstruction head produces the fused image in [0, 1].
+reconstruction head produces the fused image in [0, 1].  Every conv that
+feeds a ReLU applies it in place (``conv2d(..., relu=True)``).
 
 Backbone parameter names carry the ``backbone.`` prefix; they are the
 parameters shared with the detection head.
@@ -128,11 +131,9 @@ def backbone_names(cfg: FusionNetConfig) -> list[str]:
 
 
 def _backbone_single(p: dict[str, Var], img: Var, cfg: FusionNetConfig) -> list[Var]:
-    levels = [ad.relu(ad.conv2d(img, p["backbone.stem.w"], p["backbone.stem.b"], stride=1))]
+    levels = [ad.conv2d(img, p["backbone.stem.w"], p["backbone.stem.b"], stride=1, relu=True)]
     for i in range(1, len(cfg.stage_channels) + 1):
-        levels.append(
-            ad.relu(ad.conv2d(levels[-1], p[f"backbone.stage{i}.w"], p[f"backbone.stage{i}.b"], stride=2))
-        )
+        levels.append(ad.conv2d(levels[-1], p[f"backbone.stage{i}.w"], p[f"backbone.stage{i}.b"], stride=2, relu=True))
     return levels
 
 
@@ -157,55 +158,56 @@ def region_mask(prompts: Var, phi_feat: Var, gamma: Var, beta: Var) -> Var:
     return ad.relu(ad.spatial_norm(scores, gamma, beta))
 
 
-def region_representation(mask: Var, phi_feat: Var) -> Var:
-    """Mask-weighted feature stack: (M,H,W) x (C,H,W) -> (M*C,H,W)."""
-    m, h, w = mask.value.shape
-    c2, h2, w2 = phi_feat.value.shape
-    if (h, w) != (h2, w2):
-        raise ad.ShapeError(f"region_representation: spatial dims differ, {(h, w)} vs {(h2, w2)}")
-    out = ad.rowwise_outer(ad.reshape(mask, (m, h * w)), ad.reshape(phi_feat, (c2, h * w)))
-    return ad.reshape(out, (m * c2, h, w))
-
-
 def pixel_block(p: dict[str, Var], x: Var, y: Var) -> Var:
     """Full-resolution pixel branch: channel concat of the pair, two 3x3 conv + ReLU."""
     stacked = ad.concat([x, y], axis=0)
-    h = ad.relu(ad.conv2d(stacked, p["fuse.pixel.c1.w"], p["fuse.pixel.c1.b"]))
-    return ad.relu(ad.conv2d(h, p["fuse.pixel.c2.w"], p["fuse.pixel.c2.b"]))
+    h = ad.conv2d(stacked, p["fuse.pixel.c1.w"], p["fuse.pixel.c1.b"], relu=True)
+    return ad.conv2d(h, p["fuse.pixel.c2.w"], p["fuse.pixel.c2.b"], relu=True)
 
 
-def branch_output(p: dict[str, Var], level_feat: Var, l: int) -> Var:
-    phi = ad.relu(ad.conv2d(level_feat, p[f"fuse.branch{l}.phi.w"], p[f"fuse.branch{l}.phi.b"]))
+def branch_output(p: dict[str, Var], level_feat: Var, l: int) -> tuple[Var, Var]:
+    """One region branch's soft masks (M,H,W) and the projected features (C,H,W) they weight."""
+    phi = ad.conv2d(level_feat, p[f"fuse.branch{l}.phi.w"], p[f"fuse.branch{l}.phi.b"], relu=True)
     masks = region_mask(
         p[f"fuse.branch{l}.prompts"], phi, p[f"fuse.branch{l}.norm.gamma"], p[f"fuse.branch{l}.norm.beta"]
     )
-    return region_representation(masks, phi)
+    return masks, phi
 
 
-def assemble_fuse(p: dict[str, Var], b0: Var, branch_outs: Iterable[tuple[int, Var]]) -> Var:
-    """Merge branch stacks into a gate over the pixel branch, then reconstruct.
+def assemble_fuse(p: dict[str, Var], b0: Var, branch_outs: Iterable[tuple[int, tuple[Var, Var]]]) -> Var:
+    """Merge branch outputs into a gate over the pixel branch, then reconstruct.
 
-    Stacks are taken one at a time and dropped once aligned, so a lazy
-    `branch_outs` keeps at most one M*C stack alive when no gradient holds it.
+    Each branch's M*C region stack (masks x features) exists only inside its
+    1x1 align conv.  Branches are taken one at a time and every map is
+    dropped once its last consumer is built, so with a lazy `branch_outs`, a
+    `b0` the caller keeps no reference to, and no gradient holding the
+    graph, only a few full-resolution maps are alive at once.
     """
     merged = None
     full = b0.value.shape[-1]
-    for l, bl in branch_outs:
+    for l, (masks, phi) in branch_outs:
         # a 1x1 conv commutes with nearest upsampling: align at the branch's own
         # resolution, then upsample fuse_channels maps instead of the M*C stack
-        aligned = ad.conv2d(bl, p[f"fuse.branch{l}.align.w"], p[f"fuse.branch{l}.align.b"])
-        del bl
-        factor = full // aligned.value.shape[-1]
-        up = ad.upsample_nearest(aligned, factor) if factor > 1 else aligned
+        up = ad.conv2d(phi, p[f"fuse.branch{l}.align.w"], p[f"fuse.branch{l}.align.b"], masks=masks)
+        del masks, phi
+        factor = full // up.value.shape[-1]
+        if factor > 1:
+            up = ad.upsample_nearest(up, factor)
         merged = up if merged is None else merged + up
-    feats = b0
+        del up
+    h = b0
     if merged is not None:
-        mixed = ad.relu(ad.conv2d(merged, p["fuse.mix.w"], p["fuse.mix.b"]))
-        gate = ad.sigmoid(ad.conv2d(mixed, p["fuse.gate.w"], p["fuse.gate.b"]))
-        feats = b0 * gate + b0
-    h = feats
+        # one name for the mix output, the gate pre-activation and the gate:
+        # each rebinding drops the map before it
+        gate = ad.conv2d(merged, p["fuse.mix.w"], p["fuse.mix.b"], relu=True)
+        del merged
+        gate = ad.conv2d(gate, p["fuse.gate.w"], p["fuse.gate.b"])
+        gate = ad.sigmoid(gate)
+        h = b0 * gate + b0
+        del gate
+    del b0
     for i in range(1, 5):
-        h = ad.relu(ad.conv2d(h, p[f"fuse.recon.c{i}.w"], p[f"fuse.recon.c{i}.b"]))
+        h = ad.conv2d(h, p[f"fuse.recon.c{i}.w"], p[f"fuse.recon.c{i}.b"], relu=True)
     out = ad.conv2d(h, p["fuse.recon.c5.w"], p["fuse.recon.c5.b"])
     return ad.sigmoid(ad.reshape(out, out.value.shape[1:]))
 
@@ -216,10 +218,9 @@ def fusion_forward(
     """Fused image and the shared feature pyramid (for the detection head)."""
     cfg.check_image_size("fusion_forward", *x.value.shape[-2:])
     pyramid = backbone_forward(p, x, y, cfg)
-    b0 = pixel_block(p, x, y)
-    # a generator: each region branch's stack is built only when assemble_fuse takes it
+    # a generator: each region branch is built only when assemble_fuse takes it,
+    # after the pixel branch, which is passed on without a reference kept here
     branch_outs = (
         (l, branch_output(p, pyramid[l - 1], l)) for l in sorted(b for b in cfg.branches if b > 0)
     )
-    u = assemble_fuse(p, b0, branch_outs)
-    return u, pyramid
+    return assemble_fuse(p, pixel_block(p, x, y), branch_outs), pyramid

@@ -209,6 +209,9 @@ class ToyModel:
                     f"model file parameter {name!r}: the file has {got.get(name, 'none')}, "
                     f"its config creates {want.get(name, 'none')}"
                 )
+            bad = values[name].size - int(np.count_nonzero(np.isfinite(values[name])))
+            if bad:
+                raise ValueError(f"model file parameter {name!r}: {bad} value(s) are not finite")
         model = cls(cfg, values)
         if sorted(model.params.shared) != payload["shared"]:
             raise ValueError("model file shared-mask does not match its config")

@@ -145,6 +145,9 @@ def write_image(path: str | Path, img: np.ndarray) -> None:
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 2:
         raise ValueError(f"write_image: expected HxW, got shape {img.shape}")
+    bad = img.size - int(np.count_nonzero(np.isfinite(img)))
+    if bad:
+        raise ValueError(f"write_image: {bad} pixel(s) are not finite")
     if img.size and (img.min() < 0.0 or img.max() > 1.0):
         raise ValueError("write_image: pixel values must lie in [0, 1]")
     h, w = img.shape

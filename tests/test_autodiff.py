@@ -221,10 +221,105 @@ class TestForwardValues:
         assert bound < full_cols / 6
         assert peak < bound
 
+    @pytest.mark.parametrize(
+        "c_in, c_out, h, w, k, stride, w_grad",
+        [
+            (3, 5, 9, 8, 3, 1, True),
+            (3, 5, 9, 8, 3, 2, True),
+            (6, 4, 7, 9, 1, 1, True),  # 1x1: one GEMM on the input's view
+            (1, 1, 9, 8, 3, 2, True),  # one output channel: the broadcast input gradient
+            (16, 16, 128, 192, 3, 1, False),  # no weight gradient: row bands
+            (16, 16, 37, 29, 3, 1, False),  # 37*29 ends inside a tile: one band
+            (16, 16, 37, 29, 3, 1, True),
+        ],
+    )
+    def test_fused_relu_bytes_of_relu_after_conv2d(self, c_in, c_out, h, w, k, stride, w_grad):
+        """conv2d(relu=True) gives the value and x/w/b gradients of relu(conv2d(...)), byte for byte, in one node."""
+        rng = np.random.default_rng(c_in * h + w + k + stride)
+        x = Var.leaf(rng.normal(size=(c_in, h, w)), requires_grad=True)
+        wt = Var.leaf(rng.normal(size=(c_out, c_in, k, k)), requires_grad=w_grad)
+        b = Var.leaf(rng.normal(size=c_out) * 0.5, requires_grad=True)
+        fused = ad.conv2d(x, wt, b, stride=stride, relu=True)
+        plain = ad.conv2d(x, wt, b, stride=stride)
+        unfused = ad.relu(plain)
+        assert plain.idx == fused.idx + 1 and unfused.idx == plain.idx + 1  # one node where the pair makes two
+        assert fused.value.tobytes() == unfused.value.tobytes()
+        g = rng.normal(size=fused.value.shape)
+        g[rng.random(g.shape) < 0.3] = -0.0
+        wrt = [x, wt, b] if w_grad else [x, b]
+        got = ad.gradients(ad.tsum(fused * g), wrt)
+        want = ad.gradients(ad.tsum(unfused * g), wrt)
+        for a, e in zip(got, want):
+            assert a.tobytes() == e.tobytes()
+
+    @staticmethod
+    def _region_reference(masks, phi, w, b, g):
+        """The region stack through a plain 1x1 conv2d, and the row-product backward onto masks and phi."""
+        m, c = masks.shape[0], phi.shape[0]
+        stack = Var.leaf((masks[:, None] * phi[None]).reshape(m * c, *phi.shape[1:]), requires_grad=True)
+        wv, bv = Var.leaf(w, requires_grad=True), Var.leaf(b, requires_grad=True)
+        out = ad.conv2d(stack, wv, bv)
+        gs, gw, gb = ad.gradients(ad.tsum(out * g), [stack, wv, bv])
+        g3 = gs.reshape(m, c, -1)
+        gm = (g3 * phi.reshape(1, c, -1)).sum(axis=1).reshape(masks.shape)
+        gphi = (g3 * masks.reshape(m, 1, -1)).sum(axis=0).reshape(phi.shape)
+        return out.value, gm, gphi, gw, gb
+
+    @pytest.mark.parametrize(
+        "h, w, bands",
+        [
+            (128, 192, 26),  # 5 rows of 192 per 512 KiB band of 64-deep columns
+            (64, 64, 4),
+            (37, 29, 1),  # 37*29 ends inside a 64-column tile: one band
+        ],
+    )
+    def test_region_conv_bytes_of_stack_then_pointwise_conv(self, monkeypatch, h, w, bands):
+        """conv2d over masks x phi gives the bytes of building the M*C stack and a 1x1 conv on it.
+
+        Without a weight gradient the stack is built in row bands into one
+        buffer; with one it is built whole and kept.  Both paths, every
+        gradient (masks, phi, w, b) against the stack's own chain.
+        """
+        rng = np.random.default_rng(h + w)
+        masks = np.maximum(rng.normal(size=(4, h, w)), 0.0)
+        phi = np.maximum(rng.normal(size=(16, h, w)), 0.0)
+        wt, b = rng.normal(size=(16, 64, 1, 1)), rng.normal(size=16)
+        g = rng.normal(size=(16, h, w))
+        want = self._region_reference(masks, phi, wt, b, g)
+        calls = []
+        region_cols = ad._region_cols
+
+        def counting(*args):
+            calls.append(args[2:4])
+            return region_cols(*args)
+
+        monkeypatch.setattr(ad, "_region_cols", counting)
+        for w_grad in (False, True):
+            calls.clear()
+            mv, pv = Var.leaf(masks, requires_grad=True), Var.leaf(phi, requires_grad=True)
+            wv, bv = Var.leaf(wt, requires_grad=w_grad), Var.leaf(b, requires_grad=True)
+            out = ad.conv2d(pv, wv, bv, masks=mv)
+            assert len(calls) == (1 if w_grad else bands)
+            assert out.value.tobytes() == want[0].tobytes()
+            got = ad.gradients(ad.tsum(out * g), [mv, pv, wv, bv])
+            for name, a, e in zip(("masks", "phi", "w", "b"), got, want[1:]):
+                if name != "w" or w_grad:
+                    assert a.tobytes() == e.tobytes(), name
+
+    def test_region_conv_rejects_bad_shapes(self):
+        phi = Var.constant(np.zeros((3, 4, 4)))
+        with pytest.raises(ad.ShapeError, match="masks"):
+            ad.conv2d(phi, np.zeros((2, 6, 1, 1)), masks=Var.constant(np.zeros((2, 4, 5))))
+        with pytest.raises(ad.ShapeError, match="1x1"):
+            ad.conv2d(phi, np.zeros((2, 6, 3, 3)), masks=Var.constant(np.zeros((2, 4, 4))))
+        with pytest.raises(ad.ShapeError, match="expects 5 input channels, input has 6"):
+            ad.conv2d(phi, np.zeros((2, 5, 1, 1)), masks=Var.constant(np.zeros((2, 4, 4))))
+
     def test_sigmoid_bytes_of_masked_formula(self):
         """exp(-|v|) and one select give the bytes of the two masked branches, signed zeros included."""
         rng = np.random.default_rng(70)
-        v = np.concatenate([[0.0, -0.0, 1e3, -1e3, 745.0, -745.0], rng.normal(size=3000) * 8.0])
+        big = [700.5, -700.5, 709.8, -709.8, 710.5, -710.5, 1e3, -1e3, 745.0, -745.0]  # exp(|v|) near or past overflow
+        v = np.concatenate([[0.0, -0.0], big, rng.normal(size=2994) * 8.0])
         want = np.empty_like(v)
         pos = v >= 0
         want[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
@@ -465,9 +560,13 @@ _STRUCTURED = {
             )
         ),
     },
-    "rowwise_outer": {
-        "shapes": {"x": (2, 6), "y": (3, 6)},
-        "build": lambda v: ad.mean(ad.square(ad.rowwise_outer(v["x"], v["y"]))),
+    "conv2d_region": {
+        "shapes": {"x": (3, 4, 5), "masks": (2, 4, 5), "w": (4, 6, 1, 1), "b": (4,)},
+        "build": lambda v: ad.mean(ad.square(ad.conv2d(v["x"], v["w"], v["b"], masks=v["masks"]))),
+    },
+    "conv2d_relu": {
+        "shapes": {"x": (2, 5, 5), "w": (3, 2, 3, 3), "b": (3,)},
+        "build": lambda v: ad.mean(ad.square(ad.conv2d(v["x"], v["w"], v["b"], stride=2, relu=True))),
     },
     "gather": {
         "shapes": {"x": (3, 4, 4)},

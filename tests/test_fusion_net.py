@@ -1,6 +1,8 @@
 """Fusion network structure: branch laws, degenerate cases, coupling, and FD checks."""
 
+import base64
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,24 +152,29 @@ class TestRegionMask:
             )
 
 
+def _region_stack(masks: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The M*C region stack, read out of conv2d's region path through an identity 1x1 kernel."""
+    n = masks.shape[0] * phi.shape[0]
+    eye = Var.constant(np.eye(n).reshape(n, n, 1, 1))
+    return ad.conv2d(Var.constant(phi), eye, masks=Var.constant(masks)).value
+
+
 class TestRegionRepresentation:
     def test_all_ones_mask_is_identity(self):
         rng = np.random.default_rng(5)
         phi = rng.normal(size=(3, 4, 4))
-        out = fn.region_representation(Var.constant(np.ones((1, 4, 4))), Var.constant(phi))
-        np.testing.assert_array_equal(out.value, phi)
+        np.testing.assert_array_equal(_region_stack(np.ones((1, 4, 4)), phi), phi)
 
     def test_zero_mask_gives_zero_block(self):
         rng = np.random.default_rng(6)
         phi = rng.normal(size=(3, 4, 4))
-        out = fn.region_representation(Var.constant(np.zeros((2, 4, 4))), Var.constant(phi))
-        np.testing.assert_array_equal(out.value, np.zeros((6, 4, 4)))
+        np.testing.assert_array_equal(_region_stack(np.zeros((2, 4, 4)), phi), np.zeros((6, 4, 4)))
 
     def test_matches_elementwise_oracle_and_channel_law(self):
         rng = np.random.default_rng(7)
         masks = rng.uniform(size=(3, 4, 4))
         phi = rng.normal(size=(5, 4, 4))
-        out = fn.region_representation(Var.constant(masks), Var.constant(phi)).value
+        out = _region_stack(masks, phi)
         assert out.shape == (15, 4, 4)  # channels == M * C2
         for m in range(3):
             for c in range(5):
@@ -227,12 +234,17 @@ class TestAssemble:
 
 
 def _assemble_upsample_first(p, b0, branch_outs):
-    """assemble_fuse with each branch stack upsampled to full size before its 1x1 align conv."""
+    """assemble_fuse with each branch stack upsampled to full size before its 1x1 align conv.
+
+    Nearest upsampling commutes with the stack's elementwise products, so the
+    masks and features are upsampled and the full-size stack is built from them.
+    """
     merged = None
-    for l, bl in branch_outs:
-        factor = b0.value.shape[-1] // bl.value.shape[-1]
-        up = ad.upsample_nearest(bl, factor) if factor > 1 else bl
-        aligned = ad.conv2d(up, p[f"fuse.branch{l}.align.w"], p[f"fuse.branch{l}.align.b"])
+    for l, (masks, phi) in branch_outs:
+        factor = b0.value.shape[-1] // phi.value.shape[-1]
+        if factor > 1:
+            masks, phi = ad.upsample_nearest(masks, factor), ad.upsample_nearest(phi, factor)
+        aligned = ad.conv2d(phi, p[f"fuse.branch{l}.align.w"], p[f"fuse.branch{l}.align.b"], masks=masks)
         merged = aligned if merged is None else merged + aligned
     mixed = ad.relu(ad.conv2d(merged, p["fuse.mix.w"], p["fuse.mix.b"]))
     h = b0 * ad.sigmoid(ad.conv2d(mixed, p["fuse.gate.w"], p["fuse.gate.b"])) + b0
@@ -272,6 +284,30 @@ def test_fuse_scene_bytes_of_the_training_forward():
     u, _ = model.forward_fusion(model.params.place(), Var.constant(vis[None]), Var.constant(ir[None]))
     assert u.backward_fn is not None
     assert fused.tobytes() == u.value.tobytes()
+
+
+def test_fuse_scene_peak_memory():
+    """A no-gradient 192x128 fuse holds a few full-resolution maps at once, not the graph.
+
+    Its peak is inside the gate's sigmoid: the pixel branch, the gate
+    pre-activation and the sigmoid's two temporaries (four 16-channel maps),
+    plus the kept pyramid (0.72 of a map) and the sign mask (1/8).  The bound
+    is 5.5 maps: keeping any other map past its last consumer (the merged
+    branches, the mix output), or a full M*C region stack (four maps),
+    crosses it.
+    """
+    model = ToyModel.create(ModelConfig(), seed=4)
+    rng = np.random.default_rng(13)
+    pair = ScenePair(rng.uniform(size=(128, 192)), rng.uniform(size=(128, 192)), np.zeros((0, 4)))
+    full_map = model.cfg.fusion.fuse_channels * 128 * 192 * 8
+    harness.fuse_scene(model, pair)  # first-call allocations (caches, imports) are not the working set
+    tracemalloc.start()
+    try:
+        harness.fuse_scene(model, pair)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * full_map
 
 
 class TestCoupling:
@@ -343,6 +379,14 @@ def test_full_forward_gradients_match_finite_differences():
     assert checked == 24
 
 
+def _poke(payload, name, flat_index, value):
+    """Overwrite entries of one parameter in a model file payload."""
+    rec = payload["params"][name]
+    arr = np.frombuffer(base64.b64decode(rec["data"]), dtype="<f8").copy()
+    arr[flat_index] = value
+    rec["data"] = base64.b64encode(arr.tobytes()).decode("ascii")
+
+
 class TestModelIO:
     def test_save_load_round_trip(self, tmp_path):
         model = ToyModel.create(ModelConfig(), seed=5)
@@ -374,9 +418,11 @@ class TestModelIO:
          r"'det.l1.b': the file has \(64,\), its config creates \(32,\)"),
         (lambda p: p["params"]["det.l2.w"].__setitem__("shape", [4, 64]),
          r"'det.l2.w': the file has \(4, 64\), its config creates \(64, 4\)"),
+        (lambda p: _poke(p, "fuse.gate.b", [3, 7], np.nan), r"'fuse.gate.b': 2 value\(s\) are not finite"),
+        (lambda p: _poke(p, "backbone.stem.w", [0], -np.inf), r"'backbone.stem.w': 1 value\(s\) are not finite"),
     ])
     def test_tampered_parameters_rejected(self, tmp_path, tamper, message):
-        """Names and shapes are checked against what the file's config creates."""
+        """Names and shapes are checked against what the file's config creates, and values are finite."""
         path = tmp_path / "model.json"
         ToyModel.create(ModelConfig(), seed=2).save(path)
         payload = json.loads(path.read_text())

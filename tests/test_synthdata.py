@@ -106,6 +106,15 @@ class TestPgm:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             sd.write_image(tmp_path / "x.pgm", np.full((2, 2), 1.5))
 
+    def test_rejects_non_finite_pixels_with_their_count(self, tmp_path):
+        """NaN passes a [0, 1] range check (every comparison is False), so it is counted first."""
+        img = np.full((3, 4), 0.5)
+        img[0, 1], img[2, 2], img[1, 3] = np.nan, np.inf, -np.inf
+        path = tmp_path / "x.pgm"
+        with pytest.raises(ValueError, match=r"3 pixel\(s\) are not finite"):
+            sd.write_image(path, img)
+        assert not path.exists()
+
 
 class TestAnnotations:
     def test_round_trip_exact(self, tmp_path):

@@ -292,24 +292,33 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, r0: int = 0, r1: int |
     return cols.reshape(c_in * kh * kw, n * w_out), h_out, w_out
 
 
-def _tap_slices(k: int, pad: int, stride: int, n_out: int, n: int) -> tuple[slice, slice]:
-    """Input and output slices of the positions where tap k lands inside 0..n-1."""
-    r0 = max(0, -(-(pad - k) // stride))
-    r1 = max(r0, min(n_out, (n - 1 - k + pad) // stride + 1))
-    return slice(stride * r0 + k - pad, stride * r1 + k - pad, stride), slice(r0, r1)
+def _conv_input_grad(gf: np.ndarray, w: np.ndarray, shape: tuple[int, int, int], stride: int) -> np.ndarray:
+    """Adjoint of a k×k conv's im2col GEMM with no column-sized gradient: the scatter of wm.T @ gf, tap by tap.
 
-
-def _col2im(gcols: np.ndarray, shape: tuple[int, int, int], kh: int, kw: int, stride: int,
-            h_out: int, w_out: int) -> np.ndarray:
-    """Adjoint of _im2col: each pixel sums its taps in tap order, skipping taps on the padding."""
-    gx = np.zeros(shape)
-    g5 = gcols.reshape(shape[0], kh, kw, h_out, w_out)
+    Tap (i, j) adds ``w[:, :, i, j].T @ gf`` onto a zeroed padded buffer, so
+    each pixel sums its taps in row-major tap order, as scattering the whole
+    product back through im2col's windows does.
+    """
+    c_out, c_in, kh, kw = w.shape
+    _, h, width = shape
+    ph, pw, pitch = kh // 2, kw // 2, width + kw - 1
+    flat = np.zeros((c_in, (h + 2 * ph) * pitch + 2 * pw))
+    gxp = flat[:, :(h + 2 * ph) * pitch].reshape(c_in, h + 2 * ph, pitch)
+    if stride == 1:  # widened to the row pitch by zero columns, each tap is one offset slice of `flat`
+        gw = np.zeros((c_out, h, pitch))
+        gw[:, :, :width] = gf.reshape(c_out, h, width)
+        gf = gw.reshape(c_out, -1)
+    h_out, w_out = (h - 1) // stride + 1, (width - 1) // stride + 1
+    tap = np.empty((c_in, gf.shape[1]))
+    product = np.multiply if c_out == 1 else np.matmul  # outer product at one output channel: ~5x faster broadcast
     for i in range(kh):
-        ys, rs = _tap_slices(i, kh // 2, stride, h_out, shape[1])
         for j in range(kw):
-            xs, ss = _tap_slices(j, kw // 2, stride, w_out, shape[2])
-            gx[:, ys, xs] += g5[:, i, j, rs, ss]
-    return gx
+            product(w[:, :, i, j].T, gf, out=tap)
+            if stride == 1:
+                flat[:, i * pitch + j:i * pitch + j + tap.shape[1]] += tap
+            else:
+                gxp[:, i:i + stride * h_out:stride, j:j + stride * w_out:stride] += tap.reshape(c_in, h_out, w_out)
+    return gxp[:, ph:ph + h, pw:pw + width].copy()
 
 
 def _region_cols(masks: np.ndarray, x: np.ndarray, r0: int, r1: int, buf: np.ndarray | None) -> np.ndarray:
@@ -325,7 +334,7 @@ def _region_cols(masks: np.ndarray, x: np.ndarray, r0: int, r1: int, buf: np.nda
     return cols.reshape(m * c, -1)
 
 
-# column bytes per band when no weight gradient keeps the columns (see conv2d)
+# column bytes per band of a conv's forward (see conv2d)
 _BAND_BYTES = 1 << 19
 # A band's GEMM must round each output as the full-image GEMM does.  BLAS
 # rounds the columns of a partial tile by another kernel, so every band spans
@@ -347,13 +356,14 @@ def conv2d(x: Var, w: Var, b: Var | None = None, stride: int = 1, relu: bool = F
     applied in place on it, so no pre-activation is kept, and the backward
     masks the gradient with ``out > 0``.  The columns of a k×k kernel come
     from im2col; with `masks` (M,H,W) the input is the region stack of M·C
-    channels, channel m·C+c being masks[m]·x[c], under a 1×1 kernel.  When
-    `w` needs a gradient the one band is the whole image, kept for the
-    weight gradient.  Otherwise the bands refill one buffer of _BAND_BYTES
-    (512 KiB, or the rows of one whole tile if more), with the output bytes
-    of the full-image GEMM.  512 KiB fused a 192×128 scene fastest among
-    256 KiB to 2 MiB.  A plain 1×1 stride-1 kernel is one GEMM on the
-    input's own (C, H*W) view: no im2col copy, no col2im.
+    channels, channel m·C+c being masks[m]·x[c], under a 1×1 kernel.  The
+    bands refill one buffer of _BAND_BYTES (512 KiB, or the rows of one
+    whole tile if more), with the output bytes of the full-image GEMM;
+    512 KiB fused a 192×128 scene fastest among 256 KiB to 2 MiB.  A plain
+    1×1 stride-1 kernel is one GEMM on the input's own (C, H*W) view.  The
+    graph keeps the input, not the columns: the backward rebuilds them
+    whole for the weight gradient's one GEMM, and takes a k×k kernel's
+    input gradient tap by tap (_conv_input_grad).
     """
     w = _lift(w)
     if stride not in (1, 2):
@@ -381,24 +391,23 @@ def conv2d(x: Var, w: Var, b: Var | None = None, stride: int = 1, relu: bool = F
     wm = w.value.reshape(c_out, c_k * kh * kw)
     h_out, w_out = (h - 1) // stride + 1, (width - 1) // stride + 1
     pointwise = kh == kw == 1 and stride == 1 and masks is None
-    if pointwise:
-        cols = x.value.reshape(c_in, -1)
-        out = wm @ cols
-    else:
-        step = _BAND_COLS // math.gcd(w_out, _BAND_COLS)  # rows per whole number of tiles
-        rows = _BAND_BYTES // (8 * wm.shape[1] * w_out) // step * step
-        tiled = h_out * w_out % _BAND_COLS == 0 and wm.shape[1] <= _BAND_DEPTH
-        # one band when the weight gradient reads the whole column matrix
-        band = max(step, rows) if tiled and not w.requires_grad else h_out
-        buf = np.empty(wm.shape[1] * band * w_out) if band < h_out else None
-        out = np.empty((c_out, h_out * w_out))
-        for r0 in range(0, h_out, band):
-            r1 = min(r0 + band, h_out)
-            if masks is None:
-                cols, _, _ = _im2col(x.value, kh, kw, stride, r0, r1, buf)
-            else:
-                cols = _region_cols(masks.value, x.value, r0, r1, buf)
-            np.matmul(wm, cols, out=out[:, r0 * w_out:r1 * w_out])
+
+    def columns(r0: int = 0, r1: int = h_out, buf: np.ndarray | None = None) -> np.ndarray:
+        if pointwise:
+            return x.value.reshape(c_in, -1)
+        if masks is None:
+            return _im2col(x.value, kh, kw, stride, r0, r1, buf)[0]
+        return _region_cols(masks.value, x.value, r0, r1, buf)
+
+    step = _BAND_COLS // math.gcd(w_out, _BAND_COLS)  # rows per whole number of tiles
+    rows = _BAND_BYTES // (8 * wm.shape[1] * w_out) // step * step
+    tiled = h_out * w_out % _BAND_COLS == 0 and wm.shape[1] <= _BAND_DEPTH and not pointwise
+    band = max(step, rows) if tiled else h_out
+    buf = np.empty(wm.shape[1] * band * w_out) if band < h_out else None
+    out = np.empty((c_out, h_out * w_out))
+    for r0 in range(0, h_out, band):
+        r1 = min(r0 + band, h_out)
+        np.matmul(wm, columns(r0, r1, buf), out=out[:, r0 * w_out:r1 * w_out])
     out = out.reshape(c_out, h_out, w_out)
     if b is not None:
         out += b.value[:, None, None]
@@ -410,10 +419,18 @@ def conv2d(x: Var, w: Var, b: Var | None = None, stride: int = 1, relu: bool = F
             g = g * (out > 0.0)
         gf = g.reshape(c_out, h_out * w_out)
         grads = []
-        if x.requires_grad or (masks is not None and masks.requires_grad):
-            # outer product at one output channel: ~5x faster broadcast, zero signs aside (_col2im drops them)
+        if w.requires_grad:
+            # the columns, rebuilt whole and freed before the input gradient;
+            # the bytes of gf @ cols.T, ~1.6x faster at 16 output channels
+            grads.append((w, (columns() @ gf.T).T.reshape(w.value.shape)))
+        if x.requires_grad and masks is None and not pointwise:
+            grads.append((x, _conv_input_grad(gf, w.value, x.value.shape, stride)))
+        elif x.requires_grad or (masks is not None and masks.requires_grad):
+            # outer product at one output channel: ~5x faster broadcast
             gcols = wm.T * gf if c_out == 1 else wm.T @ gf
-            if masks is not None:
+            if masks is None:
+                grads.append((x, gcols.reshape(x.value.shape)))
+            else:
                 g3 = gcols.reshape(masks.value.shape[0], c_in, -1)
                 if masks.requires_grad:
                     gm = (g3 * x.value.reshape(1, c_in, -1)).sum(axis=1)
@@ -421,12 +438,6 @@ def conv2d(x: Var, w: Var, b: Var | None = None, stride: int = 1, relu: bool = F
                 if x.requires_grad:
                     gx = (g3 * masks.value.reshape(-1, 1, h * width)).sum(axis=0)
                     grads.append((x, gx.reshape(x.value.shape)))
-            else:
-                gx = gcols if pointwise else _col2im(gcols, x.value.shape, kh, kw, stride, h_out, w_out)
-                grads.append((x, gx.reshape(x.value.shape)))
-        if w.requires_grad:
-            # the bytes of gf @ cols.T, ~1.6x faster at 16 output channels
-            grads.append((w, (cols @ gf.T).T.reshape(w.value.shape)))
         if b is not None and b.requires_grad:
             grads.append((b, g.sum(axis=(1, 2))))
         return grads
@@ -754,6 +765,8 @@ def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
     """Normalized 2-D Gaussian window."""
     if size < 1 or size % 2 == 0:
         raise ValueError(f"gaussian_kernel: size must be odd positive, got {size}")
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"gaussian_kernel: sigma must be finite and positive, got {sigma}")
     r = np.arange(size) - (size - 1) / 2.0
     g = np.exp(-(r * r) / (2.0 * sigma * sigma))
     k = np.outer(g, g)

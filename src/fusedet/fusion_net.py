@@ -5,12 +5,13 @@ per-level features of the two modalities are summed.  A pixel branch
 fuses the raw pair at full resolution, and each enabled region branch
 projects its pyramid level, scores it against a bank of learnable region
 prompts to get nonnegative soft masks, whose mask-weighted feature stack
-(M*C channels) is channel-aligned by a 1x1 conv.  When no gradient is
-needed, that stack is never held whole: ``conv2d`` builds it band by band
-into the align GEMM.  Aligned branch outputs are upsampled, merged into a
-sigmoid gate that modulates the pixel branch, and a five-conv
-reconstruction head produces the fused image in [0, 1].  Every conv that
-feeds a ReLU applies it in place (``conv2d(..., relu=True)``).
+(M*C channels) is channel-aligned by a 1x1 conv.  The forward never
+holds that stack whole: ``conv2d`` builds it band by band into the align
+GEMM, and a weight gradient rebuilds it once in the backward.  Aligned
+branch outputs are upsampled, merged into a sigmoid gate that modulates
+the pixel branch, and a five-conv reconstruction head produces the fused
+image in [0, 1].  Every conv that feeds a ReLU applies it in place
+(``conv2d(..., relu=True)``).
 
 Backbone parameter names carry the ``backbone.`` prefix; they are the
 parameters shared with the detection head.

@@ -13,6 +13,7 @@ Dataset layout: <root>/<split>/<scene-id>.vis.pgm / .ir.pgm / .boxes.json
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,8 +52,13 @@ class SceneSpec:
             raise ValueError("scene dimensions must be at least 32")
         if self.min_objects < 0 or self.max_objects < self.min_objects:
             raise ValueError("invalid object count range")
-        if not (0.0 < self.min_size <= self.max_size < 1.0):
+        if self.min_size > self.max_size:
+            raise ValueError(f"min_size {self.min_size} exceeds max_size {self.max_size}")
+        if not (0.0 < self.min_size and self.max_size < 1.0):
             raise ValueError("object sizes must lie in (0, 1)")
+        for name in ("texture_amp", "hotspot_contrast"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass

@@ -25,6 +25,19 @@ def fd_gradient(fn, x0: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return g
 
 
+def col2im_reference(gcols: np.ndarray, shape: tuple, k: int, stride: int) -> np.ndarray:
+    """Adjoint of im2col: scatter (C*k*k, Ho*Wo) columns onto a zero-padded copy, tap by tap in row-major order."""
+    c, h, w = shape
+    p = k // 2
+    ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
+    g5 = gcols.reshape(c, k, k, ho, wo)
+    gxp = np.zeros((c, h + 2 * p, w + 2 * p))
+    for i in range(k):
+        for j in range(k):
+            gxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += g5[:, i, j]
+    return np.ascontiguousarray(gxp[:, p:p + h, p:p + w])
+
+
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     denom = max(na, nb)
@@ -85,7 +98,12 @@ class TestForwardValues:
          ((1, 3, 3), 9, 1), ((2, 3, 5), 9, 2)],  # kernels wider than the image: taps that land nowhere
     )
     def test_im2col_col2im_match_padded_copy(self, shape, k, stride):
-        """Byte for byte: the windows of a zero-padded copy, and the tap-order scatter back onto it."""
+        """Byte for byte: im2col is a zero-padded copy's windows; the input gradient, the tap-order scatter onto it.
+
+        One output channel makes every product exact, so this checks where
+        the taps land, kernels wider than the image included; the GEMM's
+        rounding is checked at the model's own shapes.
+        """
         rng = np.random.default_rng(sum(shape) + k)
         x = rng.normal(size=shape)
         c, h, w = shape
@@ -97,15 +115,11 @@ class TestForwardValues:
         cols, h_out, w_out = ad._im2col(x, k, k, stride)
         assert (h_out, w_out) == (ho, wo)
         assert cols.tobytes() == win.transpose(0, 3, 4, 1, 2).reshape(c * k * k, ho * wo).tobytes()
-        gcols = rng.normal(size=cols.shape)
-        gcols[rng.random(gcols.shape) < 0.3] = -0.0  # signed zeros expose a change of summation order
-        g5 = gcols.reshape(c, k, k, ho, wo)
-        gxp = np.zeros_like(xp)
-        for i in range(k):
-            for j in range(k):
-                gxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += g5[:, i, j]
-        want = np.ascontiguousarray(gxp[:, p:p + h, p:p + w])
-        assert ad._col2im(gcols, shape, k, k, stride, ho, wo).tobytes() == want.tobytes()
+        wt = rng.normal(size=(1, c, k, k))
+        gf = rng.normal(size=(1, ho * wo))
+        gf[rng.random(gf.shape) < 0.3] = -0.0  # signed zeros expose a change of summation order
+        want = col2im_reference(wt.reshape(1, -1).T @ gf, shape, k, stride)
+        assert ad._conv_input_grad(gf, wt, shape, stride).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_conv2d_one_output_channel_input_gradient_bytes(self, stride):
@@ -118,14 +132,14 @@ class TestForwardValues:
         g[rng.random(g.shape) < 0.3] = -0.0
         (gx,) = ad.gradients(ad.tsum(out * g), [x])
         _, ho, wo = out.value.shape
-        want = ad._col2im(w.reshape(1, -1).T @ g.reshape(1, -1), (3, 9, 8), 3, 3, stride, ho, wo)
+        want = col2im_reference(w.reshape(1, -1).T @ g.reshape(1, -1), (3, 9, 8), 3, stride)
         assert gx.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("c_out", [1, 16])
     def test_pointwise_conv2d_is_im2col_gemm_signed_zeros_aside(self, c_out):
         """A 1x1 stride-1 kernel skips im2col and col2im, not their arithmetic.
 
-        Its input gradient is the GEMM product itself; _col2im adds that onto
+        Its input gradient is the GEMM product itself; col2im adds that onto
         zeros, which turns -0.0 into +0.0, so both sides are compared after
         adding +0.0.  Every other byte must match.
         """
@@ -134,7 +148,7 @@ class TestForwardValues:
         w = rng.normal(size=(c_out, 6, 1, 1))
         b = rng.normal(size=c_out)
         out = ad.conv2d(x, Var.constant(w), Var.constant(b))
-        cols, ho, wo = ad._im2col(x.value, 1, 1, 1)
+        cols, _, _ = ad._im2col(x.value, 1, 1, 1)
         want = (w.reshape(c_out, 6) @ cols).reshape(c_out, 7, 9)
         want += b[:, None, None]
         assert out.value.tobytes() == want.tobytes()
@@ -143,7 +157,7 @@ class TestForwardValues:
         (gx,) = ad.gradients(ad.tsum(out * g), [x])
         wm = w.reshape(c_out, 6)
         gcols = wm.T * g.reshape(1, -1) if c_out == 1 else wm.T @ g.reshape(c_out, -1)
-        want_gx = ad._col2im(gcols, (6, 7, 9), 1, 1, 1, ho, wo)
+        want_gx = col2im_reference(gcols, (6, 7, 9), 1, 1)
         assert (gx + 0.0).tobytes() == (want_gx + 0.0).tobytes()
 
     @pytest.mark.parametrize("k", [1, 3])
@@ -159,6 +173,45 @@ class TestForwardValues:
         cols, _, _ = ad._im2col(x, k, k, 1)
         want = (g.reshape(c_out, -1) @ cols.T).reshape(w.value.shape)
         assert gw.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("h, w", [(64, 64), (128, 192)])
+    @pytest.mark.parametrize(
+        "c_in, c_out, k, stride, level",  # level 1 is full resolution, each deeper one halves it
+        [
+            # backbone stem: its input is the image, so the model takes no input gradient there; at one
+            # input channel each tap's product is a matrix-vector product, which rounds differently
+            (1, 8, 3, 1, 1),
+            (8, 8, 3, 2, 1), (8, 16, 3, 2, 2), (16, 32, 3, 2, 3),  # backbone stages
+            (2, 16, 3, 1, 1), (16, 16, 3, 1, 1),  # pixel branch, reconstruction c1-c4
+            (8, 16, 3, 1, 1), (8, 16, 3, 1, 2), (16, 16, 3, 1, 3), (32, 16, 3, 1, 4),  # region branch projections
+            (16, 16, 1, 1, 1),  # mix and gate
+            (16, 1, 3, 1, 1),  # reconstruction c5: one output channel
+            (8, 8, 5, 1, 1), (8, 8, 5, 2, 1),  # a 5x5 kernel
+        ],
+    )
+    def test_conv2d_gradients_bytes_of_whole_column_products(self, h, w, c_in, c_out, k, stride, level):
+        """At every conv shape of the default model, the gradients have the bytes of the whole column matrix's products.
+
+        The weight gradient is (cols @ gf.T).T over the columns the backward
+        rebuilds; the per-tap input gradient is the tap-order scatter of
+        wm.T @ gf (the broadcast product at one output channel).
+        """
+        h, w = h >> (level - 1), w >> (level - 1)
+        rng = np.random.default_rng(c_in * h + w + k + stride + c_out)
+        x = Var.leaf(rng.normal(size=(c_in, h, w)), requires_grad=c_in > 1)
+        wt = Var.leaf(rng.normal(size=(c_out, c_in, k, k)), requires_grad=True)
+        out = ad.conv2d(x, wt, stride=stride)
+        g = rng.normal(size=out.value.shape)
+        g[rng.random(g.shape) < 0.3] = -0.0
+        gx, gw = ad.gradients(ad.tsum(out * g), [x, wt])
+        gf, wm = g.reshape(c_out, -1), wt.value.reshape(c_out, -1)
+        cols, _, _ = ad._im2col(x.value, k, k, stride)
+        assert gw.tobytes() == (cols @ gf.T).T.reshape(wt.value.shape).tobytes()
+        if not x.requires_grad:
+            return
+        gcols = wm.T * gf if c_out == 1 else wm.T @ gf
+        want = gcols if k == 1 else col2im_reference(gcols, x.value.shape, k, stride)
+        assert gx.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bias", [False, True])
     @pytest.mark.parametrize(
@@ -176,12 +229,15 @@ class TestForwardValues:
         ],
     )
     def test_banded_conv2d_bytes_of_kept_cols(self, monkeypatch, c_in, c_out, h, w, k, stride, band_rows, bands, bias):
-        """Without a weight gradient the forward runs in row bands, with the bytes of the one kept-cols GEMM."""
+        """With or without a weight gradient the forward runs in row bands, with the bytes of one whole-column GEMM."""
         rng = np.random.default_rng(c_in * h + w + k + stride)
         x = rng.normal(size=(c_in, h, w))
         wt = rng.normal(size=(c_out, c_in, k, k))
         b = Var.constant(rng.normal(size=c_out)) if bias else None
-        w_out = (w - 1) // stride + 1
+        cols, h_out, w_out = ad._im2col(x, k, k, stride)
+        want = (wt.reshape(c_out, -1) @ cols).reshape(c_out, h_out, w_out)
+        if bias:
+            want += b.value[:, None, None]
         if band_rows is not None:
             monkeypatch.setattr(ad, "_BAND_BYTES", band_rows * 8 * c_in * k * k * w_out)
         calls = []
@@ -192,11 +248,11 @@ class TestForwardValues:
             return im2col(*args)
 
         monkeypatch.setattr(ad, "_im2col", counting)
-        got = ad.conv2d(Var.constant(x), Var.constant(wt), b, stride=stride)
-        assert len(calls) == bands
-        want = ad.conv2d(Var.constant(x), Var.leaf(wt, requires_grad=True), b, stride=stride)
-        assert calls[bands] == (0, got.value.shape[1])  # the kept-cols forward is one band
-        assert got.value.tobytes() == want.value.tobytes()
+        for w_grad in (False, True):
+            calls.clear()
+            got = ad.conv2d(Var.constant(x), Var.leaf(wt, requires_grad=w_grad), b, stride=stride)
+            assert len(calls) == bands
+            assert got.value.tobytes() == want.tobytes()
 
     def test_banded_conv2d_peak_memory(self):
         """A no-gradient 16->16 3x3 conv at 192x128 never holds its 28 MB column matrix.
@@ -228,7 +284,7 @@ class TestForwardValues:
             (3, 5, 9, 8, 3, 2, True),
             (6, 4, 7, 9, 1, 1, True),  # 1x1: one GEMM on the input's view
             (1, 1, 9, 8, 3, 2, True),  # one output channel: the broadcast input gradient
-            (16, 16, 128, 192, 3, 1, False),  # no weight gradient: row bands
+            (16, 16, 128, 192, 3, 1, False),  # row bands
             (16, 16, 37, 29, 3, 1, False),  # 37*29 ends inside a tile: one band
             (16, 16, 37, 29, 3, 1, True),
         ],
@@ -269,16 +325,17 @@ class TestForwardValues:
         "h, w, bands",
         [
             (128, 192, 26),  # 5 rows of 192 per 512 KiB band of 64-deep columns
-            (64, 64, 4),
+            (64, 96, 7), (32, 48, 2), (16, 24, 1),  # the deeper branches of a 192x128 scene
+            (64, 64, 4), (32, 32, 1), (16, 16, 1), (8, 8, 1),  # every branch of a 64x64 scene
             (37, 29, 1),  # 37*29 ends inside a 64-column tile: one band
         ],
     )
     def test_region_conv_bytes_of_stack_then_pointwise_conv(self, monkeypatch, h, w, bands):
         """conv2d over masks x phi gives the bytes of building the M*C stack and a 1x1 conv on it.
 
-        Without a weight gradient the stack is built in row bands into one
-        buffer; with one it is built whole and kept.  Both paths, every
-        gradient (masks, phi, w, b) against the stack's own chain.
+        The forward builds the stack in row bands into one buffer; a weight
+        gradient rebuilds it whole, once, in the backward.  Every gradient
+        (masks, phi, w, b) against the stack's own chain.
         """
         rng = np.random.default_rng(h + w)
         masks = np.maximum(rng.normal(size=(4, h, w)), 0.0)
@@ -299,9 +356,10 @@ class TestForwardValues:
             mv, pv = Var.leaf(masks, requires_grad=True), Var.leaf(phi, requires_grad=True)
             wv, bv = Var.leaf(wt, requires_grad=w_grad), Var.leaf(b, requires_grad=True)
             out = ad.conv2d(pv, wv, bv, masks=mv)
-            assert len(calls) == (1 if w_grad else bands)
+            assert len(calls) == bands
             assert out.value.tobytes() == want[0].tobytes()
             got = ad.gradients(ad.tsum(out * g), [mv, pv, wv, bv])
+            assert calls[bands:] == ([(0, h)] if w_grad else [])
             for name, a, e in zip(("masks", "phi", "w", "b"), got, want[1:]):
                 if name != "w" or w_grad:
                     assert a.tobytes() == e.tobytes(), name
@@ -327,6 +385,11 @@ class TestForwardValues:
         want[~pos] = ev / (1.0 + ev)
         assert ad.sigmoid(Var.constant(v)).value.tobytes() == want.tobytes()
         assert ad.sigmoid(Var.constant(v.reshape(3006 // 6, 6))).value.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
+    def test_gaussian_kernel_rejects_a_sigma_not_finite_and_positive(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and positive"):
+            ad.gaussian_kernel(3, sigma)
 
     def test_blur_matches_dense_window_sum(self):
         rng = np.random.default_rng(5)

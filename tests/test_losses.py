@@ -210,6 +210,11 @@ class TestGradientLoss:
         blurred = ad.blur(Var.constant(img), ad.gaussian_kernel(size, (size - 1) / 4.0)).value
         assert np.array_equal(losses.highpass(img, size), img - blurred)
 
+    def test_highpass_rejects_a_one_pixel_kernel(self):
+        """A 1x1 kernel has sigma (1 - 1) / 4 = 0: an error, not an all-NaN image."""
+        with pytest.raises(ValueError, match="sigma"):
+            losses.highpass(np.ones((8, 8)), 1)
+
     def test_impulse_images_match_direct_convolution_oracle(self):
         u = np.zeros((5, 5))
         u[2, 2] = 1.0

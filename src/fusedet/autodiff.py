@@ -445,16 +445,19 @@ def conv2d(x: Var, w: Var, b: Var | None = None, stride: int = 1, relu: bool = F
     return _record(out, backward, any(v is not None and v.requires_grad for v in (x, w, b, masks)))
 
 
-def _corr1(img: np.ndarray, vec: np.ndarray, axis: int, same: bool) -> np.ndarray:
-    """1-D correlation along one axis, zero-padded to keep its length when `same`."""
+def _corr1(img: np.ndarray, vec: np.ndarray, axis: int, same: bool, step: int = 1) -> np.ndarray:
+    """1-D correlation along one axis, zero-padded to keep its length when `same`;
+    only every `step`-th output along the axis is computed."""
     shape, p = list(img.shape), vec.size // 2
     if same:
         shape[axis] += 2 * p
         img, src = np.zeros(shape, img.dtype), img
         img[(slice(None),) * (axis % img.ndim) + (slice(p, p + src.shape[axis]),)] = src
-    shape[axis] -= vec.size - 1
+    shape[axis] = (shape[axis] - vec.size) // step + 1
+    strides = list(img.strides)
+    strides[axis] *= step
     # the view sliding_window_view builds, without its argument checks (hot for small images)
-    win = np.lib.stride_tricks.as_strided(img, (*shape, vec.size), (*img.strides, img.strides[axis]), writeable=False)
+    win = np.lib.stride_tricks.as_strided(img, (*shape, vec.size), (*strides, img.strides[axis]), writeable=False)
     return win @ vec
 
 
@@ -471,20 +474,19 @@ def _kernel_terms(kernel: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return _SEP_CACHE[key]
 
 
-def correlate(img: np.ndarray, kernel: np.ndarray | tuple[np.ndarray, np.ndarray], mode: str = "same") -> np.ndarray:
-    """2-D correlation over the last two axes of an image or a stack of images.
+def correlate(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Same-size 2-D correlation over the last two axes of an image or a stack of images.
 
-    `kernel` is a 2-D array or the (col, row) vectors of a separable one.
-    ``same`` zero-pads kh//2, kw//2 on each side; ``valid`` keeps the windows
-    inside the image.  Each rank-one term of the kernel runs as two 1-D passes
-    (kh + kw multiplies per pixel for a Gaussian); each image of a stack gets
-    the bytes it would get alone.
+    The image is zero-padded by kh//2, kw//2 on each side.  Each rank-one
+    term of the 2-D kernel runs as two 1-D passes, rows then columns (kh + kw
+    multiplies per pixel for a Gaussian); each image of a stack gets the
+    bytes it would get alone.  `blur` and the high-pass targets of
+    `losses.highpass` filter here; VIF has its own valid-mode filter
+    (`metrics._vif_filter`).
     """
-    if mode not in ("same", "valid"):
-        raise ValueError(f"correlate: mode must be 'same' or 'valid', got {mode!r}")
     out = None
-    for col, row in [kernel] if isinstance(kernel, tuple) else _kernel_terms(kernel):
-        term = _corr1(_corr1(img, row, -1, mode == "same"), col, -2, mode == "same")
+    for col, row in _kernel_terms(kernel):
+        term = _corr1(_corr1(img, row, -1, True), col, -2, True)
         out = term if out is None else out + term
     return out
 

@@ -5,8 +5,10 @@ All image metrics quantize to 256 levels; MI is the textbook joint-histogram
 definition in bits.  VIF is the pixel-domain multi-scale formulation with
 four scales and a fixed sensor-noise variance.  `vif_fusion` runs the scales
 once for both sources: each scale filters one 8-map stack (x, y, u, x², y²,
-u², x·u, y·u) with a separable Gaussian window, in two 1-D passes of one
-`autodiff.correlate` call, and downsamples the (x, y, u) stack once.  mAP
+u², x·u, y·u) with a separable Gaussian window and downsamples the (x, y, u)
+stack once.  Its filter, `_vif_filter`, is two 1-D passes that BLAS runs as
+one matrix-vector product per output row, with a transpose between them; a
+downsampling pass computes only the rows and columns it keeps.  mAP
 matching compares entries of one IoU matrix per scene (`iou_matrix`, the
 only IoU formula).
 """
@@ -15,12 +17,12 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import correlate, gaussian_kernel
+from .autodiff import _corr1, gaussian_kernel
 
 VIF_SIGMA_NSQ = 2.0  # sensor-noise variance, 8-bit intensity units
 VIF_SCALES = 4
@@ -37,9 +39,10 @@ class FusionMetricsReport:
     en: float
     mi: float
     vif: float
+    fused_std: float  # a collapsed fusion reads near 0
 
     def to_json(self) -> dict:
-        return {"en": float(self.en), "mi": float(self.mi), "vif": float(self.vif)}
+        return {k: float(v) for k, v in asdict(self).items()}
 
 
 @dataclass
@@ -85,48 +88,58 @@ def mutual_information(u: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     return _mi_pair(x, u) + _mi_pair(y, u)
 
 
+def _vif_filter(stack: np.ndarray, win: np.ndarray, step: int = 1) -> np.ndarray:
+    """Valid-mode correlation of an (n, h, w) stack with `win` x `win`, every `step`-th output kept.
+
+    Returns the result transposed, as (n, w', h'): both 1-D passes run along
+    axis -2, where BLAS takes each output row as one matrix-vector product
+    (along axis -1 numpy would run its own loop), with one contiguous
+    transposed copy between them.
+    """
+    half = _corr1(stack, win, -2, False, step)
+    return _corr1(np.ascontiguousarray(half.transpose(0, 2, 1)), win, -2, False, step)
+
+
 def _vif_sources(refs: list[np.ndarray], dist: np.ndarray) -> list[float]:
     """Pixel-domain VIF of each reference against one distorted image, on 0-255 intensities.
 
     The scales run once over the stack (refs..., dist): each scale filters
-    the images, their squares and each ref·dist product in one `correlate`
-    call, and downsamples the image stack once.  Each reference's `num` and
-    `den` accumulate scale by scale, as they would alone.
+    the images, their squares and each ref·dist product in one `_vif_filter`
+    call, and downsamples the image stack once.  Each filter transposes, and
+    VIF only sums per-pixel statistics, so the scales alternate orientation.
+    The k references are scored as one (k, h, w) block; each one's `num` and
+    `den` get the bytes they would get alone.
     """
     imgs = np.stack([np.asarray(v, dtype=np.float64) for v in (*refs, dist)]) * 255.0
     k = len(refs)
-    num, den = [0.0] * k, [0.0] * k
+    num, den = np.zeros(k), np.zeros(k)
+    transposed = False
     for scale, win in enumerate(_VIF_WINDOWS, start=1):
         size = win.size
         if scale > 1:
-            imgs = correlate(imgs, (win, win), "valid")[:, ::2, ::2]
-        if imgs.shape[1] < size or imgs.shape[2] < size:
-            raise ValueError(
-                f"image too small for VIF scale {scale}: {imgs.shape[1:]} vs {size}x{size} window"
-            )
-        maps = correlate(np.concatenate([imgs, imgs * imgs, imgs[:k] * imgs[k]]), (win, win), "valid")
-        mu2, s22 = maps[k], maps[2 * k + 1]
-        var2 = np.maximum(s22 - mu2 * mu2, 0.0)
+            imgs, transposed = _vif_filter(imgs, win, 2), not transposed
+        hw = imgs.shape[:0:-1] if transposed else imgs.shape[1:]
+        if min(hw) < size:
+            raise ValueError(f"image too small for VIF scale {scale}: {hw} vs {size}x{size} window")
+        maps = _vif_filter(np.concatenate([imgs, imgs * imgs, imgs[:k] * imgs[k]]), win)
+        mu1, mu2 = maps[:k], maps[k]
+        var1 = np.maximum(maps[k + 1:2 * k + 1] - mu1 * mu1, 0.0)
+        var2 = np.maximum(maps[2 * k + 1] - mu2 * mu2, 0.0)
+        cov = maps[2 * k + 2:] - mu1 * mu2
+        live = var1 > _VIF_VAR_EPS
+        g = np.divide(cov, var1, out=np.zeros_like(cov), where=live)
+        np.copyto(var1, 0.0, where=~live)
+        sv = var2 - g * cov
+        neg = g < 0
+        np.copyto(sv, var2, where=neg)
         dead2 = var2 <= _VIF_VAR_EPS
-        for i in range(k):
-            mu1, s11, s12 = maps[i], maps[k + 1 + i], maps[2 * k + 2 + i]
-            var1 = np.maximum(s11 - mu1 * mu1, 0.0)
-            cov = s12 - mu1 * mu2
-            live = var1 > _VIF_VAR_EPS
-            g = np.zeros_like(cov)
-            g[live] = cov[live] / var1[live]
-            var1 = np.where(live, var1, 0.0)
-            sv = var2 - g * cov
-            neg = g < 0
-            sv[neg] = var2[neg]
-            g[neg] = 0.0
-            g[dead2] = 0.0
-            sv[dead2] = 0.0
-            sv = np.maximum(sv, 0.0)
-            num[i] += float(np.sum(np.log2(1.0 + g * g * var1 / (sv + VIF_SIGMA_NSQ))))
-            den[i] += float(np.sum(np.log2(1.0 + var1 / VIF_SIGMA_NSQ)))
+        np.copyto(g, 0.0, where=neg | dead2)
+        np.copyto(sv, 0.0, where=dead2)
+        sv = np.maximum(sv, 0.0)
+        num += np.log2(1.0 + g * g * var1 / (sv + VIF_SIGMA_NSQ)).sum(axis=(1, 2))
+        den += np.log2(1.0 + var1 / VIF_SIGMA_NSQ).sum(axis=(1, 2))
     # a featureless reference carries no information either way
-    return [n / d if d != 0.0 else 1.0 for n, d in zip(num, den)]
+    return [n / d if d != 0.0 else 1.0 for n, d in zip(num.tolist(), den.tolist())]
 
 
 def _vif_single(ref: np.ndarray, dist: np.ndarray) -> float:
@@ -145,7 +158,8 @@ def vif_fusion(u: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
 
 def fusion_metrics(u: np.ndarray, x: np.ndarray, y: np.ndarray) -> FusionMetricsReport:
     return FusionMetricsReport(
-        en=entropy_en(u), mi=mutual_information(u, x, y), vif=vif_fusion(u, x, y)
+        en=entropy_en(u), mi=mutual_information(u, x, y), vif=vif_fusion(u, x, y),
+        fused_std=float(np.std(u)),
     )
 
 
@@ -247,17 +261,20 @@ def score_split(
     """Per-scene rows and the aggregate (mean EN, MI, VIF; corpus mAP) of a split.
 
     `fusions[i]` is (fused, visible, infrared) of scene i and `detections[i]`
-    its ((boxes, scores), ground-truth boxes); either may be None.
+    its ((boxes, scores), ground-truth boxes); either may be None.  A bad
+    input raises ValueError naming its scene.
     """
     rows = [{"scene-id": sid} for sid in scene_ids]
-    for row, (u, x, y) in zip(rows, fusions or []):
-        row.update(fusion_metrics(u, x, y).to_json())
-    for row, (pred, gt) in zip(rows, detections or []):
+    for i, row in enumerate(rows):
         try:
-            ev = map_eval([pred], [gt])
+            if fusions:
+                row.update(fusion_metrics(*fusions[i]).to_json())
+            if detections:
+                pred, gt = detections[i]
+                ev = map_eval([pred], [gt])
+                row.update({"map50": ev.map50, "map5095": ev.map5095})
         except ValueError as e:
             raise ValueError(f"scene {row['scene-id']}: {e}") from None
-        row.update({"map50": ev.map50, "map5095": ev.map5095})
     aggregate = {k: float(np.mean([r[k] for r in rows])) for k in ("en", "mi", "vif") if fusions}
     if detections:
         corpus = map_eval([pred for pred, _ in detections], [gt for _, gt in detections])
@@ -281,7 +298,7 @@ def write_tables(out_dir: str | Path, stem: str, payload: dict, header: list[str
 
 def write_reports(out_dir: str | Path, per_scene: list[dict], aggregate: dict) -> tuple[Path, Path]:
     """Emit metrics.json (per-scene + aggregate) and the metrics.csv summary for a metric run."""
-    columns = ["scene-id", "en", "mi", "vif", "map50", "map5095"]
+    columns = ["scene-id", "en", "mi", "vif", "fused_std", "map50", "map5095"]
     rows = [[row.get("scene-id", ""), *(row.get(c, "") for c in columns[1:])] for row in per_scene]
     rows.append(["aggregate", *(aggregate.get(c, "") for c in columns[1:])])
     return write_tables(out_dir, "metrics", {"scenes": per_scene, "aggregate": aggregate}, columns, rows)

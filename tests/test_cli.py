@@ -297,6 +297,46 @@ class TestEval:
         assert rc == 2
         assert f"scene {sids[1]}: predictions[0]: scores must be finite" in capsys.readouterr().err
 
+    def _eval_fused(self, tmp_path, tiny_dataset, fused_of) -> int:
+        """Run `eval --fused-dir` over fused images `fused_of(pair)` written as PGM."""
+        fused_dir = tmp_path / "fused"
+        fused_dir.mkdir()
+        for sid in sd.list_scene_ids(tiny_dataset, "val"):
+            pair = sd.load_scene(tiny_dataset, "val", sid)
+            sd.write_image(fused_dir / f"{sid}.fused.pgm", fused_of(sid, pair))
+        return main([
+            "eval", "--dataset-root", str(tiny_dataset), "--split", "val",
+            "--fused-dir", str(fused_dir), "--out", str(tmp_path / "out"),
+        ])
+
+    def test_fused_std_in_both_reports(self, tmp_path, tiny_dataset):
+        rc = self._eval_fused(tmp_path, tiny_dataset, lambda sid, pair: pair.visible)
+        assert rc == 0
+        rows = json.loads((tmp_path / "out" / "metrics.json").read_text())["scenes"]
+        with open(tmp_path / "out" / "metrics.csv", newline="") as f:
+            table = list(csv.DictReader(f))
+        for row, line in zip(rows, table):
+            visible = sd.read_image(tmp_path / "fused" / f"{row['scene-id']}.fused.pgm")
+            assert row["fused_std"] == float(np.std(visible)) > 0.0
+            assert float(line["fused_std"]) == row["fused_std"]
+        assert table[-1]["scene-id"] == "aggregate"
+
+    def test_fused_image_of_another_shape_names_the_scene(self, tmp_path, tiny_dataset, capsys):
+        sids = sd.list_scene_ids(tiny_dataset, "val")
+
+        def fused_of(sid, pair):
+            return np.full((64, 48), 0.5) if sid == sids[1] else pair.visible
+
+        assert self._eval_fused(tmp_path, tiny_dataset, fused_of) == 2
+        assert f"scene {sids[1]}: mutual_information: shapes differ: (64, 48)" in capsys.readouterr().err
+
+    def test_scene_too_small_for_vif_is_named(self, tmp_path, capsys):
+        root = tmp_path / "data"
+        sd.generate_dataset(root, "val", 2, 900, width=32, height=32)
+        sid = sd.list_scene_ids(root, "val")[0]
+        assert self._eval_fused(tmp_path, root, lambda sid, pair: pair.visible) == 2
+        assert f"scene {sid}: image too small for VIF scale 3: (4, 4) vs 5x5 window" in capsys.readouterr().err
+
 
 @pytest.mark.slow
 class TestPipeline:

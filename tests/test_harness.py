@@ -393,7 +393,7 @@ class TestEvaluateSplit:
         assert set(ev["aggregate"]) == {"en", "mi", "vif", "map50", "map5095"}
         assert len(ev["scenes"]) == len(val_batch.pairs)
         for row in ev["scenes"]:
-            assert set(row) == {"scene-id", "en", "mi", "vif", "map50", "map5095"}
+            assert set(row) == {"scene-id", "en", "mi", "vif", "fused_std", "map50", "map5095"}
 
 
 class TestExperiments:

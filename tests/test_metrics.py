@@ -1,5 +1,7 @@
 """Entropy/MI/VIF identities and the hand-traced mAP cases."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -140,14 +142,47 @@ def _vif_single_dense(ref: np.ndarray, dist: np.ndarray) -> float:
     return num / den
 
 
+# odd and even sides, so that the decimation's parity and the transposed
+# orientation differ by axis
+_VIF_SHAPES = [(64, 64), (72, 72), (128, 192), (65, 63), (100, 76), (131, 97)]
+
+
+class TestVifFilter:
+    @pytest.mark.parametrize("h, w", [(17, 17), (64, 64), (65, 63), (100, 76), (131, 97)])
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_each_image_of_a_stack_gets_its_own_bytes(self, h, w, step):
+        stack = np.random.default_rng(h * w).uniform(0.0, 255.0, size=(8, h, w))
+        for win in met._VIF_WINDOWS:
+            got = met._vif_filter(stack, win, step)
+            for i in range(stack.shape[0]):
+                assert np.array_equal(got[i], met._vif_filter(stack[i:i + 1], win, step)[0])
+
+    @pytest.mark.parametrize("h, w", [(17, 17), (18, 18), (64, 64), (65, 63), (100, 76), (131, 97)])
+    def test_decimation_keeps_every_other_output(self, h, w):
+        stack = np.random.default_rng(h + w).uniform(0.0, 255.0, size=(3, h, w))
+        for win in met._VIF_WINDOWS:
+            full = met._vif_filter(stack, win)
+            assert full.shape == (3, w - win.size + 1, h - win.size + 1)
+            sliced = full[:, ::2, ::2]
+            got = met._vif_filter(stack, win, 2)
+            assert got.shape == sliced.shape
+            np.testing.assert_allclose(got, sliced, rtol=0, atol=1e-14 * np.abs(full).max())
+
+    def test_matches_the_dense_window_transposed(self):
+        img = np.random.default_rng(3).uniform(0.0, 255.0, size=(40, 29))
+        for win in met._VIF_WINDOWS:
+            want = _filter_valid_dense(img, np.outer(win, win)).T
+            np.testing.assert_allclose(met._vif_filter(img[None], win)[0], want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
 class TestVif:
     def test_identity_is_exactly_two(self):
         rng = np.random.default_rng(4)
-        for shape in [(64, 64), (72, 72), (128, 192)]:
+        for shape in _VIF_SHAPES:
             x = rng.uniform(size=shape)
             assert met.vif_fusion(x, x, x) == 2.0
 
-    @pytest.mark.parametrize("h, w", [(64, 64), (72, 72), (128, 192)])
+    @pytest.mark.parametrize("h, w", _VIF_SHAPES)
     def test_separable_filter_matches_dense_window_loop(self, h, w):
         scene = sd.generate_scene(sd.SceneSpec(seed=11, width=w, height=h))
         rng = np.random.default_rng(h)
@@ -185,9 +220,29 @@ class TestVif:
         u = np.clip(0.6 * scene.visible + 0.4 * scene.infrared, 0.0, 1.0)
         assert met.vif_fusion(u, x, scene.infrared) == met._vif_single(x, u) + met._vif_single(scene.infrared, u)
 
+    def test_flat_fused_image_scores_exactly_zero(self):
+        """Where the fused image has no variance, no reference information survives."""
+        scene = sd.generate_scene(sd.SceneSpec(seed=13, width=100, height=76))
+        assert met.vif_fusion(np.full((76, 100), 0.3), scene.visible, scene.infrared) == 0.0
+
     def test_too_small_image_rejected(self):
         with pytest.raises(ValueError, match="too small"):
             met.vif_fusion(np.zeros((12, 12)), np.zeros((12, 12)), np.zeros((12, 12)))
+
+    @pytest.mark.parametrize("shape, message", [
+        ((16, 40), "scale 1: (16, 40) vs 17x17"),
+        ((40, 24), "scale 2: (16, 8) vs 9x9"),
+        ((24, 40), "scale 2: (8, 16) vs 9x9"),
+        ((28, 60), "scale 3: (3, 11) vs 5x5"),
+        ((60, 28), "scale 3: (11, 3) vs 5x5"),
+        ((60, 36), "scale 4: (5, 2) vs 3x3"),
+        ((36, 60), "scale 4: (2, 5) vs 3x3"),
+    ])
+    def test_too_small_names_height_by_width_of_the_input_at_every_scale(self, shape, message):
+        """Each scale's stack is stored transposed from the last; the message is not."""
+        x = np.zeros(shape)
+        with pytest.raises(ValueError, match=re.escape(f"image too small for VIF {message} window")):
+            met.vif_fusion(x, x, x)
 
 
 class TestIou:
@@ -310,6 +365,26 @@ class TestMapEval:
         with pytest.raises(ValueError, match="scene b-0001: predictions.*finite"):
             met.score_split(["a-0000", "b-0001"], None, detections)
 
+    @pytest.mark.parametrize("fused_shape, source_shape, message", [
+        ((24, 24), (24, 24), r"image too small for VIF scale 2: \(8, 8\)"),
+        ((64, 48), (64, 64), "shapes differ"),
+    ])
+    def test_score_split_names_the_scene_with_a_bad_fused_image(self, fused_shape, source_shape, message):
+        rng = np.random.default_rng(2)
+        good = tuple(rng.uniform(size=(3, 64, 64)))
+        bad = (rng.uniform(size=fused_shape), *rng.uniform(size=(2, *source_shape)))
+        with pytest.raises(ValueError, match=f"scene b-0001: .*{message}"):
+            met.score_split(["a-0000", "b-0001"], [good, bad], None)
+
+    def test_score_split_reports_the_fused_images_spread(self):
+        rng = np.random.default_rng(3)
+        x, y = rng.uniform(size=(2, 64, 64))
+        u = 0.5 * (x + y)
+        report = met.score_split(["a", "b"], [(u, x, y), (np.full((64, 64), 0.5), x, y)], None)
+        assert report["scenes"][0]["fused_std"] == float(np.std(u))
+        assert report["scenes"][1]["fused_std"] == 0.0
+        assert set(report["aggregate"]) == {"en", "mi", "vif"}
+
 
 def _iou_scalar(a, b) -> float:
     """map_eval's former scalar IoU, one box pair at a time; the reference here."""
@@ -407,10 +482,11 @@ class TestMapEvalMatchesScalarReference:
 
 class TestReports:
     def test_write_reports_layout(self, tmp_path):
-        per_scene = [{"scene-id": "s0", "en": 5.0, "mi": 2.0, "vif": 1.0, "map50": 0.5, "map5095": 0.25}]
+        per_scene = [{"scene-id": "s0", "en": 5.0, "mi": 2.0, "vif": 1.0, "fused_std": 0.125, "map50": 0.5, "map5095": 0.25}]
         aggregate = {"en": 5.0, "mi": 2.0, "vif": 1.0, "map50": 0.5, "map5095": 0.25}
         jp, cp = met.write_reports(tmp_path, per_scene, aggregate)
         assert jp.exists() and cp.exists()
         lines = cp.read_text().strip().splitlines()
-        assert lines[0] == "scene-id,en,mi,vif,map50,map5095"
+        assert lines[0] == "scene-id,en,mi,vif,fused_std,map50,map5095"
+        assert lines[1] == "s0,5.0,2.0,1.0,0.125,0.5,0.25"
         assert lines[-1].startswith("aggregate,")

@@ -16,6 +16,10 @@ and Vars from separate forward passes combine freely.
 
 Broadcasting is limited to scalar-with-tensor; anything fancier must be
 spelled out with explicit ops.
+
+There is one 2-D filter, :func:`correlate`, over a separable window.  `blur`,
+the high-pass targets of the fusion loss and VIF all use it, and every
+window in the program is a 1-D Gaussian from :func:`gaussian_kernel`.
 """
 
 from __future__ import annotations
@@ -445,66 +449,47 @@ def conv2d(x: Var, w: Var, b: Var | None = None, stride: int = 1, relu: bool = F
     return _record(out, backward, any(v is not None and v.requires_grad for v in (x, w, b, masks)))
 
 
-def _corr1(img: np.ndarray, vec: np.ndarray, axis: int, same: bool, step: int = 1) -> np.ndarray:
-    """1-D correlation along one axis, zero-padded to keep its length when `same`;
-    only every `step`-th output along the axis is computed."""
-    shape, p = list(img.shape), vec.size // 2
+def _corr1(img: np.ndarray, vec: np.ndarray, same: bool, step: int) -> np.ndarray:
+    """1-D correlation along axis -2, zero-padded to keep its length when `same`;
+    only every `step`-th output row is computed."""
+    *lead, h, w = img.shape
     if same:
-        shape[axis] += 2 * p
-        img, src = np.zeros(shape, img.dtype), img
-        img[(slice(None),) * (axis % img.ndim) + (slice(p, p + src.shape[axis]),)] = src
-    shape[axis] = (shape[axis] - vec.size) // step + 1
-    strides = list(img.strides)
-    strides[axis] *= step
+        p = vec.size // 2
+        img, src = np.zeros((*lead, h + 2 * p, w)), img
+        img[..., p:p + h, :] = src
+        h += 2 * p
+    s, shape = img.strides, (*lead, (h - vec.size) // step + 1, w, vec.size)
     # the view sliding_window_view builds, without its argument checks (hot for small images)
-    win = np.lib.stride_tricks.as_strided(img, (*shape, vec.size), (*strides, img.strides[axis]), writeable=False)
-    return win @ vec
+    view = np.lib.stride_tricks.as_strided(img, shape, (*s[:-2], s[-2] * step, s[-1], s[-2]), writeable=False)
+    return view @ vec
 
 
-_SEP_CACHE: dict[bytes, list[tuple[np.ndarray, np.ndarray]]] = {}
+def correlate(stack: np.ndarray, win: np.ndarray, same: bool = True, step: int = 1) -> np.ndarray:
+    """2-D correlation of an image or a stack over its last two axes with the window `win` x `win`.
 
-
-def _kernel_terms(kernel: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Rank-one (col, row) factors whose outer products sum to the kernel (SVD)."""
-    key = kernel.tobytes() + bytes(kernel.shape)
-    if key not in _SEP_CACHE:
-        u, s, vt = np.linalg.svd(kernel)
-        r = np.sqrt(s[:max(1, int(np.sum(s > 1e-12 * s[0])))])
-        _SEP_CACHE[key] = [(u[:, i] * r[i], vt[i] * r[i]) for i in range(r.size)]
-    return _SEP_CACHE[key]
-
-
-def correlate(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Same-size 2-D correlation over the last two axes of an image or a stack of images.
-
-    The image is zero-padded by kh//2, kw//2 on each side.  Each rank-one
-    term of the 2-D kernel runs as two 1-D passes, rows then columns (kh + kw
-    multiplies per pixel for a Gaussian); each image of a stack gets the
-    bytes it would get alone.  `blur` and the high-pass targets of
-    `losses.highpass` filter here; VIF has its own valid-mode filter
-    (`metrics._vif_filter`).
+    Zero-padded to keep the size when `same`, else valid; every `step`-th
+    output row and column is computed.  The result comes out transposed,
+    (..., w', h'): both 1-D passes run along axis -2, where BLAS takes each
+    output row as one matrix-vector product, with one contiguous transposed
+    copy between them.  Each image of a stack gets the bytes it would get
+    alone.  `blur`, the high-pass targets of `losses.highpass` and VIF all
+    filter here.
     """
-    out = None
-    for col, row in _kernel_terms(kernel):
-        term = _corr1(_corr1(img, row, -1, True), col, -2, True)
-        out = term if out is None else out + term
-    return out
+    half = _corr1(stack, win, same, step)
+    return _corr1(np.ascontiguousarray(np.swapaxes(half, -1, -2)), win, same, step)
 
 
-def blur(x: Var, kernel: np.ndarray) -> Var:
-    """Fixed-kernel 2-D blur of an HxW image, symmetric zero padding."""
-    kernel = np.asarray(kernel, dtype=np.float64)
-    if x.value.ndim != 2 or kernel.ndim != 2:
-        raise ShapeError(f"blur: expected HxW image and 2-D kernel, got {_shp(x.value)} and {_shp(kernel)}")
-    kh, kw = kernel.shape
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ShapeError(f"blur: kernel dims must be odd, got {kh}x{kw}")
-    out = correlate(x.value, kernel)
-    flipped = np.ascontiguousarray(kernel[::-1, ::-1])
+def blur(x: Var, win: np.ndarray) -> Var:
+    """Same-size 2-D blur of an HxW image by the window `win` x `win`, zero padding; `win` is 1-D of odd length."""
+    win = np.asarray(win, dtype=np.float64)
+    if x.value.ndim != 2 or win.ndim != 1 or win.size % 2 == 0:
+        raise ShapeError(f"blur: expected HxW image and odd-length 1-D window, got {_shp(x.value)} and {_shp(win)}")
+    out = np.ascontiguousarray(correlate(x.value, win).T)
+    flipped = np.ascontiguousarray(win[::-1])
 
     def backward(g):
-        # adjoint of same-zero-pad correlation is correlation with the flipped kernel
-        return [(x, correlate(g, flipped))]
+        # adjoint of same-zero-pad correlation is correlation with the flipped window
+        return [(x, np.ascontiguousarray(correlate(g, flipped).T))]
 
     return _record(out, backward, x.requires_grad)
 
@@ -764,12 +749,11 @@ def unflatten(vec: np.ndarray, shapes: Mapping[str, tuple[int, ...]], shared: It
 
 
 def gaussian_kernel(size: int, sigma: float) -> np.ndarray:
-    """Normalized 2-D Gaussian window."""
+    """Normalized 1-D Gaussian window; the 2-D window it stands for is its outer product with itself."""
     if size < 1 or size % 2 == 0:
         raise ValueError(f"gaussian_kernel: size must be odd positive, got {size}")
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"gaussian_kernel: sigma must be finite and positive, got {sigma}")
     r = np.arange(size) - (size - 1) / 2.0
     g = np.exp(-(r * r) / (2.0 * sigma * sigma))
-    k = np.outer(g, g)
-    return k / k.sum()
+    return g / g.sum()

@@ -207,10 +207,31 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _matrix_arg(text: str) -> np.ndarray:
+    """The --matrix flag as a tall, finite, not all-zero float matrix."""
+    try:
+        g = np.array(json.loads(text), dtype=np.float64)
+    except json.JSONDecodeError:
+        raise _UsageError(f"--matrix is not JSON: {text!r}") from None
+    except (TypeError, ValueError):  # ragged rows or non-numbers
+        g = None
+    if g is None or g.ndim != 2:
+        raise _UsageError(f"--matrix must be a 2-D array of numbers, got {text!r}")
+    if g.shape[0] < g.shape[1]:
+        raise _UsageError(f"--matrix needs at least as many rows as columns, got {g.shape[0]}x{g.shape[1]}")
+    if not np.isfinite(g).all():
+        raise _UsageError(f"--matrix has non-finite entries: {text!r}")
+    if not g.any():
+        raise _UsageError("--matrix is all zero")
+    return g
+
+
 def _cmd_gmta_demo(args) -> int:
     cfg = _load_config(args)
     if args.matrix:
-        g = np.asarray(json.loads(args.matrix), dtype=np.float64)
+        g = _matrix_arg(args.matrix)
+    elif args.rows < 2:
+        raise _UsageError(f"--rows must be at least 2, got {args.rows}")
     else:
         g = harness.SplitMix64(cfg.seed).normals((args.rows, 2))
     g_hat, report = gmta.align(g)

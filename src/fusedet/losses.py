@@ -153,7 +153,7 @@ def _grad_kernel(size: int) -> np.ndarray:
 
 def highpass(img: np.ndarray, size: int) -> np.ndarray:
     """v - gaussian_blur(v), numpy-side (for fixed targets and oracles)."""
-    return img - ad.correlate(img, _grad_kernel(size))
+    return img - ad.correlate(img, _grad_kernel(size)).T
 
 
 def gradient_loss(u, x, y) -> Var:

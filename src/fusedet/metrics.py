@@ -6,8 +6,9 @@ definition in bits.  VIF is the pixel-domain multi-scale formulation with
 four scales and a fixed sensor-noise variance.  `vif_fusion` runs the scales
 once for both sources: each scale filters one 8-map stack (x, y, u, x², y²,
 u², x·u, y·u) with a separable Gaussian window and downsamples the (x, y, u)
-stack once.  Its filter, `_vif_filter`, is two 1-D passes that BLAS runs as
-one matrix-vector product per output row, with a transpose between them; a
+stack once.  It filters with `autodiff.correlate` in valid mode, the
+program's one 2-D filter: two 1-D passes that BLAS runs as one
+matrix-vector product per output row, with a transpose between them; a
 downsampling pass computes only the rows and columns it keeps.  mAP
 matching compares entries of one IoU matrix per scene (`iou_matrix`, the
 only IoU formula).
@@ -22,13 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import _corr1, gaussian_kernel
+from .autodiff import correlate, gaussian_kernel
 
 VIF_SIGMA_NSQ = 2.0  # sensor-noise variance, 8-bit intensity units
 VIF_SCALES = 4
 _VIF_VAR_EPS = 1e-10
-# 1-D Gaussian factors, 17 to 3 taps: the 2-D window's marginal, closer to exact than its SVD factors
-_VIF_WINDOWS = [gaussian_kernel(n, n / 5.0).sum(axis=0) for n in (2 ** k + 1 for k in range(VIF_SCALES, 0, -1))]
+# 1-D Gaussian windows, 17 to 3 taps
+_VIF_WINDOWS = [gaussian_kernel(n, n / 5.0) for n in (2 ** k + 1 for k in range(VIF_SCALES, 0, -1))]
 
 IOU_THRESHOLDS = tuple(np.round(np.arange(0.50, 0.96, 0.05), 2))
 _RECALL_POINTS = np.linspace(0.0, 1.0, 101)
@@ -88,25 +89,14 @@ def mutual_information(u: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     return _mi_pair(x, u) + _mi_pair(y, u)
 
 
-def _vif_filter(stack: np.ndarray, win: np.ndarray, step: int = 1) -> np.ndarray:
-    """Valid-mode correlation of an (n, h, w) stack with `win` x `win`, every `step`-th output kept.
-
-    Returns the result transposed, as (n, w', h'): both 1-D passes run along
-    axis -2, where BLAS takes each output row as one matrix-vector product
-    (along axis -1 numpy would run its own loop), with one contiguous
-    transposed copy between them.
-    """
-    half = _corr1(stack, win, -2, False, step)
-    return _corr1(np.ascontiguousarray(half.transpose(0, 2, 1)), win, -2, False, step)
-
-
 def _vif_sources(refs: list[np.ndarray], dist: np.ndarray) -> list[float]:
     """Pixel-domain VIF of each reference against one distorted image, on 0-255 intensities.
 
     The scales run once over the stack (refs..., dist): each scale filters
-    the images, their squares and each ref·dist product in one `_vif_filter`
-    call, and downsamples the image stack once.  Each filter transposes, and
-    VIF only sums per-pixel statistics, so the scales alternate orientation.
+    the images, their squares and each ref·dist product in one valid-mode
+    `correlate` call, and downsamples the image stack once.  Each filter
+    transposes, and VIF only sums per-pixel statistics, so the scales
+    alternate orientation.
     The k references are scored as one (k, h, w) block; each one's `num` and
     `den` get the bytes they would get alone.
     """
@@ -117,11 +107,11 @@ def _vif_sources(refs: list[np.ndarray], dist: np.ndarray) -> list[float]:
     for scale, win in enumerate(_VIF_WINDOWS, start=1):
         size = win.size
         if scale > 1:
-            imgs, transposed = _vif_filter(imgs, win, 2), not transposed
+            imgs, transposed = correlate(imgs, win, False, 2), not transposed
         hw = imgs.shape[:0:-1] if transposed else imgs.shape[1:]
         if min(hw) < size:
             raise ValueError(f"image too small for VIF scale {scale}: {hw} vs {size}x{size} window")
-        maps = _vif_filter(np.concatenate([imgs, imgs * imgs, imgs[:k] * imgs[k]]), win)
+        maps = correlate(np.concatenate([imgs, imgs * imgs, imgs[:k] * imgs[k]]), win, False)
         mu1, mu2 = maps[:k], maps[k]
         var1 = np.maximum(maps[k + 1:2 * k + 1] - mu1 * mu1, 0.0)
         var2 = np.maximum(maps[2 * k + 1] - mu2 * mu2, 0.0)

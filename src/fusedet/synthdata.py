@@ -224,13 +224,35 @@ def write_annotations(
 
 
 def read_annotations(path: str | Path) -> tuple[str, np.ndarray, np.ndarray | None]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    boxes = np.array(
-        [[b["cx"], b["cy"], b["w"], b["h"]] for b in payload["boxes"]], dtype=np.float64
-    ).reshape(-1, 4)
+    """Scene id, (n, 4) boxes and scores (None when no box has one) of a box file.
+
+    A malformed file raises ValueError naming the file and its fault.
+    """
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as e:
+        raise ValueError(f"{path}: not JSON: {e}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    for key in ("scene", "boxes"):
+        if key not in payload:
+            raise ValueError(f"{path}: no {key!r} field")
+    entries = payload["boxes"]
+    if not isinstance(entries, list):
+        raise ValueError(f"{path}: 'boxes' must be a list, got {type(entries).__name__}")
+    for i, b in enumerate(entries):
+        if not isinstance(b, dict):
+            raise ValueError(f"{path}: box {i} is not an object")
+        missing = [key for key in ("cx", "cy", "w", "h") if key not in b]
+        if missing:
+            raise ValueError(f"{path}: box {i} has no {missing[0]!r}")
+        for key in ("cx", "cy", "w", "h", "score"):
+            if key in b and (isinstance(b[key], bool) or not isinstance(b[key], (int, float))):
+                raise ValueError(f"{path}: box {i}: {key} is not a number: {b[key]!r}")
+    boxes = np.array([[b["cx"], b["cy"], b["w"], b["h"]] for b in entries], dtype=np.float64).reshape(-1, 4)
     scores = None
-    if any("score" in b for b in payload["boxes"]):
-        scores = np.array([b.get("score", 1.0) for b in payload["boxes"]], dtype=np.float64)
+    if any("score" in b for b in entries):
+        scores = np.array([b.get("score", 1.0) for b in entries], dtype=np.float64)
     return payload["scene"], boxes, scores
 
 

@@ -46,6 +46,18 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / denom)
 
 
+def correlate_dense(img: np.ndarray, kernel: np.ndarray, same: bool) -> np.ndarray:
+    """2-D correlation of one image by a loop over the kernel's taps, zero-padded to keep the size when `same`."""
+    kh, kw = kernel.shape
+    if same:
+        img = np.pad(img, ((kh // 2, kh // 2), (kw // 2, kw // 2)))
+    out = np.zeros((img.shape[0] - kh + 1, img.shape[1] - kw + 1))
+    for i in range(kh):
+        for j in range(kw):
+            out += kernel[i, j] * img[i:i + out.shape[0], j:j + out.shape[1]]
+    return out
+
+
 class TestForwardValues:
     def test_relu_definition(self):
         out = ad.relu(Var.constant([-1.0, 0.0, 2.0]))
@@ -394,38 +406,36 @@ class TestForwardValues:
     def test_blur_matches_dense_window_sum(self):
         rng = np.random.default_rng(5)
         img = rng.normal(size=(9, 7))
-        kernel = ad.gaussian_kernel(5, 1.0)
-        got = ad.blur(Var.constant(img), kernel).value
-        h, w = img.shape
-        xp = np.zeros((h + 4, w + 4))
-        xp[2:2 + h, 2:2 + w] = img
-        want = np.zeros_like(img)
-        for r in range(h):
-            for c in range(w):
-                want[r, c] = np.sum(kernel * xp[r:r + 5, c:c + 5])
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        win = ad.gaussian_kernel(5, 1.0)
+        got = ad.blur(Var.constant(img), win).value
+        np.testing.assert_allclose(got, correlate_dense(img, np.outer(win, win), True), atol=1e-12)
+
+    @pytest.mark.parametrize("kernel", [np.full((3, 3), 1 / 9), np.ones(4) / 4], ids=["2-D", "even"])
+    def test_blur_rejects_all_but_an_odd_1d_window(self, kernel):
+        with pytest.raises(ad.ShapeError, match="odd-length 1-D window"):
+            ad.blur(Var.constant(np.ones((8, 6))), kernel)
 
     @pytest.mark.parametrize("k, h, w", [(3, 9, 7), (5, 64, 64), (11, 65, 63), (17, 128, 192)])
-    def test_correlate_stack_gets_each_images_bytes(self, k, h, w):
+    @pytest.mark.parametrize("same", [True, False])
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_correlate_stack_gets_each_images_bytes(self, k, h, w, same, step):
         rng = np.random.default_rng(k)
         stack = rng.normal(size=(5, h, w)) * 100.0
-        kernel = ad.gaussian_kernel(k, k / 5.0)
-        same = ad.correlate(stack, kernel)
-        assert same.shape == stack.shape
+        win = ad.gaussian_kernel(k, k / 5.0)
+        got = ad.correlate(stack, win, same, step)
+        lost = 0 if same else k - 1
+        assert got.shape == (5, (w - lost - 1) // step + 1, (h - lost - 1) // step + 1)
         for i in range(stack.shape[0]):
-            assert np.array_equal(same[i], ad.correlate(stack[i], kernel))
+            assert np.array_equal(got[i], ad.correlate(stack[i], win, same, step))
 
-    def test_correlate_sums_rank_one_terms_of_a_general_kernel(self):
-        rng = np.random.default_rng(8)
-        img = rng.normal(size=(9, 12))
-        kernel = rng.normal(size=(3, 5))
-        xp = np.zeros((11, 16))
-        xp[1:10, 2:14] = img
-        want = np.zeros((9, 12))
-        for r in range(9):
-            for c in range(12):
-                want[r, c] = np.sum(kernel * xp[r:r + 3, c:c + 5])
-        np.testing.assert_allclose(ad.correlate(img, kernel), want, atol=1e-12)
+    @pytest.mark.parametrize("h, w", [(9, 12), (12, 9), (10, 10), (11, 11)])
+    @pytest.mark.parametrize("same", [True, False])
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_correlate_matches_a_dense_loop_of_the_outer_window(self, h, w, same, step):
+        img = np.random.default_rng(h * w).normal(size=(h, w))
+        for win in (ad.gaussian_kernel(3, 0.8), ad.gaussian_kernel(5, 1.2), np.array([0.1, -0.4, 0.7, 0.2, 0.3])):
+            want = correlate_dense(img, np.outer(win, win), same)[::step, ::step]
+            np.testing.assert_allclose(ad.correlate(img, win, same, step), want.T, rtol=0, atol=1e-12)
 
     def test_upsample_nearest(self):
         x = Var.constant([[1.0, 2.0], [3.0, 4.0]])
@@ -597,6 +607,10 @@ _STRUCTURED = {
     "blur": {
         "shapes": {"x": (6, 6)},
         "build": lambda v: ad.mean(ad.square(ad.blur(v["x"], ad.gaussian_kernel(5, 1.0)))),
+    },
+    "blur_non_square_asymmetric_window": {
+        "shapes": {"x": (5, 8)},
+        "build": lambda v: ad.mean(ad.square(ad.blur(v["x"], np.array([0.1, 0.6, 0.3])))),
     },
     "upsample": {
         "shapes": {"x": (2, 3, 3)},

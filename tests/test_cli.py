@@ -260,6 +260,22 @@ class TestGmtaDemo:
         assert second == fresh and first + "\n}\n" != fresh
 
 
+    @pytest.mark.parametrize("argv, fault", [
+        (["--matrix", "nope"], "--matrix is not JSON"),
+        (["--matrix", "[[2,0],[0,1],[1]]"], "--matrix must be a 2-D array of numbers"),
+        (["--matrix", '[["a",0],[0,1]]'], "--matrix must be a 2-D array of numbers"),
+        (["--matrix", "[1,2,3]"], "--matrix must be a 2-D array of numbers"),
+        (["--matrix", "[[1,2,3]]"], "--matrix needs at least as many rows as columns, got 1x3"),
+        (["--matrix", "[[1e400,0],[0,1]]"], "--matrix has non-finite entries"),
+        (["--matrix", "[[0,0],[0,0]]"], "--matrix is all zero"),
+        (["--rows", "1"], "--rows must be at least 2, got 1"),
+        (["--rows", "0"], "--rows must be at least 2, got 0"),
+        (["--rows", "-3"], "--rows must be at least 2, got -3"),
+    ])
+    def test_bad_flag_value_is_a_usage_error_naming_the_flag(self, capsys, argv, fault):
+        assert main(["gmta-demo", *argv]) == 1
+        assert f"usage error: {fault}" in capsys.readouterr().err
+
 class TestEval:
     def test_perfect_oracle_predictions_score_one(self, tmp_path, tiny_dataset, capsys):
         pred_dir = tmp_path / "preds"
@@ -296,6 +312,22 @@ class TestEval:
         ])
         assert rc == 2
         assert f"scene {sids[1]}: predictions[0]: scores must be finite" in capsys.readouterr().err
+
+    def test_malformed_prediction_file_is_named(self, tmp_path, tiny_dataset, capsys):
+        pred_dir = tmp_path / "preds"
+        pred_dir.mkdir()
+        sids = sd.list_scene_ids(tiny_dataset, "val")
+        for sid in sids:
+            pair = sd.load_scene(tiny_dataset, "val", sid)
+            sd.write_annotations(pred_dir / f"{sid}.boxes.json", sid, pair.boxes)
+        bad = pred_dir / f"{sids[2]}.boxes.json"
+        bad.write_text('{"scene": "x", "boxes": [{"cx": 0.5, "cy": 0.5, "w": 0.2}]}')
+        rc = main([
+            "eval", "--dataset-root", str(tiny_dataset), "--split", "val",
+            "--pred-dir", str(pred_dir), "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 2
+        assert f"error: {bad}: box 0 has no 'h'" in capsys.readouterr().err
 
     def _eval_fused(self, tmp_path, tiny_dataset, fused_of) -> int:
         """Run `eval --fused-dir` over fused images `fused_of(pair)` written as PGM."""

@@ -12,7 +12,8 @@ from tests.test_autodiff import fd_gradient, rel_err
 
 def ssim_oracle(a: np.ndarray, b: np.ndarray) -> float:
     """Direct evaluation of the SSIM formula from per-window statistics (zero pad)."""
-    win = ad.gaussian_kernel(losses.SSIM_WINDOW_SIZE, losses.SSIM_SIGMA)
+    g = ad.gaussian_kernel(losses.SSIM_WINDOW_SIZE, losses.SSIM_SIGMA)
+    win = np.outer(g, g)
     k = losses.SSIM_WINDOW_SIZE
     p = k // 2
     h, w = a.shape
@@ -231,7 +232,8 @@ def _gradient_loss_oracle(u, x, y) -> float:
     """Brute-force: dense blur loops, high-pass, elementwise max, mean square, summed over scales."""
     total = 0.0
     for k in losses.GRAD_KERNEL_SIZES:
-        win = ad.gaussian_kernel(k, (k - 1) / 4.0)
+        g = ad.gaussian_kernel(k, (k - 1) / 4.0)
+        win = np.outer(g, g)
         p = k // 2
 
         def hp(img):

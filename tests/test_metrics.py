@@ -8,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from fusedet import metrics as met
 from fusedet import synthdata as sd
-from fusedet.autodiff import gaussian_kernel
+from fusedet.autodiff import correlate, gaussian_kernel
+from tests.test_autodiff import correlate_dense
 
 
 def _uniform_256() -> np.ndarray:
@@ -103,30 +104,21 @@ def _mi_pair_add_at(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(joint[nz] * np.log2(ratio)))
 
 
-def _filter_valid_dense(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """VIF's former filter, a dense loop over the window's taps."""
-    kh, kw = kernel.shape
-    out = np.zeros((img.shape[0] - kh + 1, img.shape[1] - kw + 1))
-    for i in range(kh):
-        for j in range(kw):
-            out += kernel[i, j] * img[i:i + out.shape[0], j:j + out.shape[1]]
-    return out
-
-
 def _vif_single_dense(ref: np.ndarray, dist: np.ndarray) -> float:
     """VIF as computed before the separable filter: one dense filter per image and statistic."""
     ref, dist = ref * 255.0, dist * 255.0
     num = den = 0.0
     for scale in range(1, met.VIF_SCALES + 1):
         size = 2 ** (met.VIF_SCALES - scale + 1) + 1
-        win = gaussian_kernel(size, size / 5.0)
+        win1 = gaussian_kernel(size, size / 5.0)
+        win = np.outer(win1, win1)
         if scale > 1:
-            ref = _filter_valid_dense(ref, win)[::2, ::2]
-            dist = _filter_valid_dense(dist, win)[::2, ::2]
-        mu1, mu2 = _filter_valid_dense(ref, win), _filter_valid_dense(dist, win)
-        var1 = np.maximum(_filter_valid_dense(ref * ref, win) - mu1 * mu1, 0.0)
-        var2 = np.maximum(_filter_valid_dense(dist * dist, win) - mu2 * mu2, 0.0)
-        cov = _filter_valid_dense(ref * dist, win) - mu1 * mu2
+            ref = correlate_dense(ref, win, False)[::2, ::2]
+            dist = correlate_dense(dist, win, False)[::2, ::2]
+        mu1, mu2 = correlate_dense(ref, win, False), correlate_dense(dist, win, False)
+        var1 = np.maximum(correlate_dense(ref * ref, win, False) - mu1 * mu1, 0.0)
+        var2 = np.maximum(correlate_dense(dist * dist, win, False) - mu2 * mu2, 0.0)
+        cov = correlate_dense(ref * dist, win, False) - mu1 * mu2
         live = var1 > 1e-10
         g = np.zeros_like(cov)
         g[live] = cov[live] / var1[live]
@@ -153,26 +145,26 @@ class TestVifFilter:
     def test_each_image_of_a_stack_gets_its_own_bytes(self, h, w, step):
         stack = np.random.default_rng(h * w).uniform(0.0, 255.0, size=(8, h, w))
         for win in met._VIF_WINDOWS:
-            got = met._vif_filter(stack, win, step)
+            got = correlate(stack, win, False, step)
             for i in range(stack.shape[0]):
-                assert np.array_equal(got[i], met._vif_filter(stack[i:i + 1], win, step)[0])
+                assert np.array_equal(got[i], correlate(stack[i], win, False, step))
 
     @pytest.mark.parametrize("h, w", [(17, 17), (18, 18), (64, 64), (65, 63), (100, 76), (131, 97)])
     def test_decimation_keeps_every_other_output(self, h, w):
         stack = np.random.default_rng(h + w).uniform(0.0, 255.0, size=(3, h, w))
         for win in met._VIF_WINDOWS:
-            full = met._vif_filter(stack, win)
+            full = correlate(stack, win, False)
             assert full.shape == (3, w - win.size + 1, h - win.size + 1)
             sliced = full[:, ::2, ::2]
-            got = met._vif_filter(stack, win, 2)
+            got = correlate(stack, win, False, 2)
             assert got.shape == sliced.shape
             np.testing.assert_allclose(got, sliced, rtol=0, atol=1e-14 * np.abs(full).max())
 
     def test_matches_the_dense_window_transposed(self):
         img = np.random.default_rng(3).uniform(0.0, 255.0, size=(40, 29))
         for win in met._VIF_WINDOWS:
-            want = _filter_valid_dense(img, np.outer(win, win)).T
-            np.testing.assert_allclose(met._vif_filter(img[None], win)[0], want, rtol=0, atol=1e-12 * np.abs(want).max())
+            want = correlate_dense(img, np.outer(win, win), False).T
+            np.testing.assert_allclose(correlate(img, win, False), want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 class TestVif:

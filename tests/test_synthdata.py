@@ -152,6 +152,39 @@ class TestAnnotations:
         np.testing.assert_array_equal(scores, [0.75])
 
 
+    @pytest.mark.parametrize("text, fault", [
+        ("", "not JSON"),
+        ("{\"scene\": ", "not JSON"),
+        ("[1, 2]", "expected a JSON object, got list"),
+        ('{"boxes": []}', "no 'scene' field"),
+        ('{"scene": "s"}', "no 'boxes' field"),
+        ('{"scene": "s", "boxes": {"cx": 0.5}}', "'boxes' must be a list, got dict"),
+        ('{"scene": "s", "boxes": [[0.5, 0.5, 0.2, 0.2]]}', "box 0 is not an object"),
+        ('{"scene": "s", "boxes": [{"cx": 0.5, "cy": 0.5, "w": 0.2}]}', "box 0 has no 'h'"),
+        ('{"scene": "s", "boxes": [{"cx": 0.5, "cy": 0.5, "w": 0.2, "h": 0.2}, {"cy": 0.5}]}', "box 1 has no 'cx'"),
+        ('{"scene": "s", "boxes": [{"cx": "hi", "cy": 0.5, "w": 0.2, "h": 0.2}]}', "box 0: cx is not a number: 'hi'"),
+        ('{"scene": "s", "boxes": [{"cx": 0.5, "cy": null, "w": 0.2, "h": 0.2}]}', "box 0: cy is not a number: None"),
+        ('{"scene": "s", "boxes": [{"cx": 0.5, "cy": 0.5, "w": true, "h": 0.2}]}', "box 0: w is not a number: True"),
+        ('{"scene": "s", "boxes": [{"cx": 0.5, "cy": 0.5, "w": 0.2, "h": 0.2, "score": "0.9"}]}',
+         "box 0: score is not a number: '0.9'"),
+    ])
+    def test_malformed_file_names_itself_and_its_fault(self, tmp_path, text, fault):
+        path = tmp_path / "bad.boxes.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            sd.read_annotations(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert fault in str(err.value)
+
+    def test_integer_coordinates_and_a_nan_score_are_numbers(self, tmp_path):
+        """Range and finiteness are the scorer's to judge (map_eval names the scene)."""
+        path = tmp_path / "b.json"
+        path.write_text('{"scene": "s", "boxes": [{"cx": 1, "cy": 0, "w": 1, "h": 1, "score": NaN}]}')
+        name, boxes, scores = sd.read_annotations(path)
+        assert name == "s"
+        np.testing.assert_array_equal(boxes, [[1.0, 0.0, 1.0, 1.0]])
+        assert np.isnan(scores[0])
+
 class TestDatasetLayout:
     def test_write_and_load_scene(self, tmp_path):
         pair = sd.generate_scene(sd.SceneSpec(seed=5))

@@ -20,6 +20,7 @@ import numpy as np
 from . import gmta, harness
 from . import metrics as met
 from . import synthdata as sd
+from .fusion_net import check_image_size
 from .harness import RunConfig
 from .model import ToyModel
 
@@ -132,7 +133,7 @@ def _cmd_gen(args) -> int:
         raise _UsageError(f"--scenes must be at least 1, got {args.scenes}")
     try:
         sd.SceneSpec(seed=cfg.seed, width=args.width, height=args.height)
-        cfg.model_config().fusion.check_image_size("gen", args.height, args.width)
+        check_image_size(cfg.branches, "gen", args.height, args.width)
     except ValueError as e:
         raise _UsageError(str(e)) from None
     ids = sd.generate_dataset(
@@ -161,7 +162,7 @@ def _cmd_fuse(args) -> int:
     cfg = _load_config(args)
     model = ToyModel.load(args.model)
     batch = harness.SceneBatch.from_dir(cfg.dataset_root, args.split)
-    harness.check_scene_sizes(model.cfg.fusion, batch, "fuse")
+    harness.check_scene_sizes(model.cfg.branches, batch, "fuse")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for pair in batch.pairs:

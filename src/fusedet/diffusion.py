@@ -21,6 +21,7 @@ BOX_SCALE = 2.0
 COSINE_S = 0.008
 BETA_MAX = 0.999
 MIN_BOX_SIDE = 1e-3
+PAD_JITTER = 0.01  # std of the noise on repeated ground-truth boxes in box coordinates
 
 
 @dataclass(frozen=True)
@@ -146,7 +147,7 @@ def sample(
     return clamp_boxes(unscale_boxes(z))
 
 
-def pad_boxes(boxes: np.ndarray, n: int, rng: SplitMix64, jitter: float = 0.01) -> np.ndarray:
+def pad_boxes(boxes: np.ndarray, n: int, rng: SplitMix64) -> np.ndarray:
     """Pad a ground-truth set to a fixed width by jittered cyclic repetition."""
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
     if boxes.shape[0] == 0:
@@ -154,6 +155,6 @@ def pad_boxes(boxes: np.ndarray, n: int, rng: SplitMix64, jitter: float = 0.01) 
     if boxes.shape[0] > n:
         raise ValueError(f"pad_boxes: {boxes.shape[0]} boxes exceed target width {n}")
     reps = np.tile(boxes, (int(np.ceil(n / boxes.shape[0])), 1))[:n]
-    noise = rng.normals((n, 4)) * jitter
+    noise = rng.normals((n, 4)) * PAD_JITTER
     noise[: boxes.shape[0]] = 0.0  # keep the originals exact
     return clamp_boxes(reps + noise)

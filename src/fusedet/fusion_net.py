@@ -13,13 +13,14 @@ the pixel branch, and a five-conv reconstruction head produces the fused
 image in [0, 1].  Every conv that feeds a ReLU applies it in place
 (``conv2d(..., relu=True)``).
 
-Backbone parameter names carry the ``backbone.`` prefix; they are the
-parameters shared with the detection head.
+The widths are module constants: no run varies them, so a model file
+stores only its branch set.  Backbone parameter names carry the
+``backbone.`` prefix (``BACKBONE_NAMES``); they are the parameters shared
+with the detection head.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -29,50 +30,42 @@ from .autodiff import Var
 from .rng import SplitMix64
 
 
-@dataclass(frozen=True)
-class FusionNetConfig:
-    stem_channels: int = 8
-    stage_channels: tuple[int, ...] = (8, 16, 32)  # stride-2 stages after the stem
-    region_channels: int = 16  # width of branch projections and prompts
-    prompts_per_branch: int = 4
-    fuse_channels: int = 16  # pixel branch / reconstruction width
-    branches: tuple[int, ...] = (0, 1, 2, 3)
-
-    @property
-    def levels(self) -> int:
-        return 1 + len(self.stage_channels)
-
-    def level_channels(self, level: int) -> int:
-        # level 1 is the stem (full resolution), deeper levels halve
-        return self.stem_channels if level == 1 else self.stage_channels[level - 2]
-
-    @property
-    def size_multiple(self) -> int:
-        """Image sides must divide by this for the deepest branch to upsample back."""
-        return 2 ** max(max(self.branches) - 1, 0)
-
-    def check_image_size(self, op: str, h: int, w: int) -> None:
-        self.validate()  # an out-of-range branch id would otherwise show up as a huge size multiple
-        m = self.size_multiple
-        if h % m or w % m:
-            raise ad.ShapeError(
-                f"{op}: image size {h}x{w} is not a multiple of {m} on each side, "
-                f"which branches {list(self.branches)} need"
-            )
-
-    def validate(self) -> None:
-        if 0 not in self.branches:
-            raise ValueError("branch set must include the pixel branch 0")
-        if len(set(self.branches)) < len(self.branches):
-            raise ValueError(f"branch set {list(self.branches)} repeats an id")
-        bad = [b for b in self.branches if b < 0 or b > self.levels]
-        if bad:
-            raise ValueError(f"branch ids {bad} outside 0..{self.levels}")
+# output channels of the pyramid levels: the stem (level 1, full
+# resolution), then the three stride-2 stages
+LEVEL_CHANNELS = (8, 8, 16, 32)
+REGION_CHANNELS = 16  # width of branch projections and prompts
+PROMPTS_PER_BRANCH = 4
+FUSE_CHANNELS = 16  # pixel branch / reconstruction width
+_STAGES = ("stem", *(f"stage{i}" for i in range(1, len(LEVEL_CHANNELS))))
+BACKBONE_NAMES = tuple(f"backbone.{stage}.{k}" for stage in _STAGES for k in ("w", "b"))
 
 
-def _conv_init(rng: SplitMix64, c_out: int, c_in: int, k: int, gain: float = 1.0) -> np.ndarray:
-    scale = gain * np.sqrt(2.0 / (c_in * k * k))
-    return rng.normals((c_out, c_in, k, k)) * scale
+def check_branches(branches: tuple[int, ...]) -> None:
+    """Reject a branch set the network cannot build: 0 is the pixel branch, l >= 1 the region branch of level l."""
+    if not all(type(b) is int for b in branches):
+        raise ValueError(f"branch ids {list(branches)} must be integers")
+    if 0 not in branches:
+        raise ValueError("branch set must include the pixel branch 0")
+    if len(set(branches)) < len(branches):
+        raise ValueError(f"branch set {list(branches)} repeats an id")
+    bad = [b for b in branches if b < 0 or b > len(LEVEL_CHANNELS)]
+    if bad:
+        raise ValueError(f"branch ids {bad} outside 0..{len(LEVEL_CHANNELS)}")
+
+
+def check_image_size(branches: tuple[int, ...], op: str, h: int, w: int) -> None:
+    """Reject image sides that the deepest branch of `branches` cannot upsample back to."""
+    check_branches(branches)  # an out-of-range branch id would otherwise show up as a huge size multiple
+    m = 2 ** max(max(branches) - 1, 0)
+    if h % m or w % m:
+        raise ad.ShapeError(
+            f"{op}: image size {h}x{w} is not a multiple of {m} on each side, "
+            f"which branches {list(branches)} need"
+        )
+
+
+def _conv_init(rng: SplitMix64, c_out: int, c_in: int, k: int) -> np.ndarray:
+    return rng.normals((c_out, c_in, k, k)) * np.sqrt(2.0 / (c_in * k * k))
 
 
 # small positive bias keeps ReLU units alive through the first large
@@ -85,33 +78,30 @@ def _bias_init(c: int) -> np.ndarray:
     return np.full(c, _BIAS_INIT)
 
 
-def init_fusion_params(cfg: FusionNetConfig, rng: SplitMix64) -> dict[str, np.ndarray]:
-    """Fresh parameter arrays for the backbone and the fusion head."""
-    cfg.validate()
+def init_fusion_params(branches: tuple[int, ...], rng: SplitMix64) -> dict[str, np.ndarray]:
+    """Fresh parameter arrays for the backbone and the fusion head of a branch set."""
+    check_branches(branches)
     p: dict[str, np.ndarray] = {}
-    p["backbone.stem.w"] = _conv_init(rng, cfg.stem_channels, 1, 3)
-    p["backbone.stem.b"] = np.zeros(cfg.stem_channels)
-    c_prev = cfg.stem_channels
-    for i, c in enumerate(cfg.stage_channels, start=1):
-        p[f"backbone.stage{i}.w"] = _conv_init(rng, c, c_prev, 3)
-        p[f"backbone.stage{i}.b"] = np.zeros(c)
+    c_prev = 1
+    for stage, c in zip(_STAGES, LEVEL_CHANNELS):
+        p[f"backbone.{stage}.w"] = _conv_init(rng, c, c_prev, 3)
+        p[f"backbone.{stage}.b"] = np.zeros(c)
         c_prev = c
-    cf = cfg.fuse_channels
+    cf = FUSE_CHANNELS
     p["fuse.pixel.c1.w"] = _conv_init(rng, cf, 2, 3)
     p["fuse.pixel.c1.b"] = _bias_init(cf)
     p["fuse.pixel.c2.w"] = _conv_init(rng, cf, cf, 3)
     p["fuse.pixel.c2.b"] = _bias_init(cf)
-    c2 = cfg.region_channels
-    for l in sorted(b for b in cfg.branches if b > 0):
-        cl = cfg.level_channels(l)
-        p[f"fuse.branch{l}.phi.w"] = _conv_init(rng, c2, cl, 3)
+    c2 = REGION_CHANNELS
+    for l in sorted(b for b in branches if b > 0):
+        p[f"fuse.branch{l}.phi.w"] = _conv_init(rng, c2, LEVEL_CHANNELS[l - 1], 3)
         p[f"fuse.branch{l}.phi.b"] = _bias_init(c2)
-        p[f"fuse.branch{l}.prompts"] = rng.normals((cfg.prompts_per_branch, c2)) / np.sqrt(c2)
-        p[f"fuse.branch{l}.norm.gamma"] = np.ones(cfg.prompts_per_branch)
-        p[f"fuse.branch{l}.norm.beta"] = np.zeros(cfg.prompts_per_branch)
-        p[f"fuse.branch{l}.align.w"] = _conv_init(rng, cf, cfg.prompts_per_branch * c2, 1)
+        p[f"fuse.branch{l}.prompts"] = rng.normals((PROMPTS_PER_BRANCH, c2)) / np.sqrt(c2)
+        p[f"fuse.branch{l}.norm.gamma"] = np.ones(PROMPTS_PER_BRANCH)
+        p[f"fuse.branch{l}.norm.beta"] = np.zeros(PROMPTS_PER_BRANCH)
+        p[f"fuse.branch{l}.align.w"] = _conv_init(rng, cf, PROMPTS_PER_BRANCH * c2, 1)
         p[f"fuse.branch{l}.align.b"] = _bias_init(cf)
-    if any(b > 0 for b in cfg.branches):
+    if any(b > 0 for b in branches):
         p["fuse.mix.w"] = _conv_init(rng, cf, cf, 1)
         p["fuse.mix.b"] = _bias_init(cf)
         p["fuse.gate.w"] = _conv_init(rng, cf, cf, 1)
@@ -124,26 +114,20 @@ def init_fusion_params(cfg: FusionNetConfig, rng: SplitMix64) -> dict[str, np.nd
     return p
 
 
-def backbone_names(cfg: FusionNetConfig) -> list[str]:
-    names = ["backbone.stem.w", "backbone.stem.b"]
-    for i in range(1, len(cfg.stage_channels) + 1):
-        names += [f"backbone.stage{i}.w", f"backbone.stage{i}.b"]
-    return names
-
-
-def _backbone_single(p: dict[str, Var], img: Var, cfg: FusionNetConfig) -> list[Var]:
-    levels = [ad.conv2d(img, p["backbone.stem.w"], p["backbone.stem.b"], stride=1, relu=True)]
-    for i in range(1, len(cfg.stage_channels) + 1):
-        levels.append(ad.conv2d(levels[-1], p[f"backbone.stage{i}.w"], p[f"backbone.stage{i}.b"], stride=2, relu=True))
+def _backbone_single(p: dict[str, Var], img: Var) -> list[Var]:
+    levels = []
+    for stage in _STAGES:
+        feat = levels[-1] if levels else img
+        levels.append(ad.conv2d(feat, p[f"backbone.{stage}.w"], p[f"backbone.{stage}.b"], stride=2 if levels else 1, relu=True))
     return levels
 
 
-def backbone_forward(p: dict[str, Var], x: Var, y: Var, cfg: FusionNetConfig) -> list[Var]:
+def backbone_forward(p: dict[str, Var], x: Var, y: Var) -> list[Var]:
     """Per-modality features from the shared weights, summed level by level."""
     if x.value.shape != y.value.shape:
         raise ad.ShapeError(f"backbone_forward: modality shapes differ, {x.value.shape} vs {y.value.shape}")
-    fx = _backbone_single(p, x, cfg)
-    fy = _backbone_single(p, y, cfg)
+    fx = _backbone_single(p, x)
+    fy = _backbone_single(p, y)
     return [a + b for a, b in zip(fx, fy)]
 
 
@@ -188,7 +172,7 @@ def assemble_fuse(p: dict[str, Var], b0: Var, branch_outs: Iterable[tuple[int, t
     full = b0.value.shape[-1]
     for l, (masks, phi) in branch_outs:
         # a 1x1 conv commutes with nearest upsampling: align at the branch's own
-        # resolution, then upsample fuse_channels maps instead of the M*C stack
+        # resolution, then upsample FUSE_CHANNELS maps instead of the M*C stack
         up = ad.conv2d(phi, p[f"fuse.branch{l}.align.w"], p[f"fuse.branch{l}.align.b"], masks=masks)
         del masks, phi
         factor = full // up.value.shape[-1]
@@ -213,15 +197,11 @@ def assemble_fuse(p: dict[str, Var], b0: Var, branch_outs: Iterable[tuple[int, t
     return ad.sigmoid(ad.reshape(out, out.value.shape[1:]))
 
 
-def fusion_forward(
-    p: dict[str, Var], x: Var, y: Var, cfg: FusionNetConfig
-) -> tuple[Var, list[Var]]:
+def fusion_forward(p: dict[str, Var], x: Var, y: Var, branches: tuple[int, ...]) -> tuple[Var, list[Var]]:
     """Fused image and the shared feature pyramid (for the detection head)."""
-    cfg.check_image_size("fusion_forward", *x.value.shape[-2:])
-    pyramid = backbone_forward(p, x, y, cfg)
+    check_image_size(branches, "fusion_forward", *x.value.shape[-2:])
+    pyramid = backbone_forward(p, x, y)
     # a generator: each region branch is built only when assemble_fuse takes it,
     # after the pixel branch, which is passed on without a reference kept here
-    branch_outs = (
-        (l, branch_output(p, pyramid[l - 1], l)) for l in sorted(b for b in cfg.branches if b > 0)
-    )
+    branch_outs = ((l, branch_output(p, pyramid[l - 1], l)) for l in sorted(b for b in branches if b > 0))
     return assemble_fuse(p, pixel_block(p, x, y), branch_outs), pyramid

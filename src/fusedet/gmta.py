@@ -31,6 +31,14 @@ class SvdConvergenceError(RuntimeError):
     """One-sided Jacobi failed to converge within the sweep cap."""
 
 
+def _json_kappas(d: dict) -> dict:
+    """`d` with an infinite kappa_before or kappa_after written as "inf", which JSON can hold."""
+    for key in ("kappa_before", "kappa_after"):
+        if math.isinf(d[key]):
+            d[key] = "inf"
+    return d
+
+
 @dataclass
 class AlignmentReport:
     """Diagnostics of one alignment of the shared-gradient matrix."""
@@ -42,7 +50,7 @@ class AlignmentReport:
     frobenius_distance: float
 
     def to_json(self) -> dict:
-        return asdict(self)  # align() stores plain Python floats and ints
+        return _json_kappas(asdict(self))  # align() stores plain Python floats and ints
 
 
 def build_gradient_matrix(g_u: np.ndarray, g_d: np.ndarray) -> np.ndarray:
@@ -205,11 +213,7 @@ class StepReport:
     column_norms_after: list[float] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        d = asdict(self)
-        for key in ("kappa_before", "kappa_after"):
-            if math.isinf(d[key]):
-                d[key] = "inf"
-        return d
+        return _json_kappas(asdict(self))
 
 
 def gmta_step(

@@ -25,7 +25,7 @@ from . import synthdata as sd
 from .autodiff import Var
 from .gmta import StepReport, gmta_step
 from .model import ModelConfig, ToyModel
-from .fusion_net import FusionNetConfig
+from .fusion_net import check_image_size
 from .rng import SplitMix64
 
 
@@ -60,16 +60,14 @@ class RunConfig:
             ("task_weights", len(w) == 2 and all(math.isfinite(v) and v >= 0 for v in w) and sum(w) > 0,
              "two finite nonnegative numbers with a positive sum"),
             ("eta", len(self.eta) == 3, "three loss weights"),
-            ("diffusion_steps", self.diffusion_steps >= 1, "at least 1"),
-            ("boxes_per_scene", self.boxes_per_scene >= 1, "at least 1"),
         ):
             if not ok:
                 raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
-        for key, check in (("eta", self.loss_weights), ("branches", FusionNetConfig(branches=self.branches).validate)):
-            try:
-                check()
-            except ValueError as e:
-                raise ValueError(f"{key}: {e}") from None
+        try:
+            self.loss_weights()
+        except ValueError as e:
+            raise ValueError(f"eta: {e}") from None
+        self.model_config()  # branches, boxes_per_scene and diffusion_steps: its errors name the field
 
     def to_json(self) -> dict:
         d = asdict(self)
@@ -87,11 +85,7 @@ class RunConfig:
         return cls(**d)
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            fusion=FusionNetConfig(branches=self.branches),
-            boxes_per_scene=self.boxes_per_scene,
-            diffusion_steps=self.diffusion_steps,
-        )
+        return ModelConfig(tuple(self.branches), self.boxes_per_scene, self.diffusion_steps)
 
     def loss_weights(self) -> losses.LossWeights:
         return losses.LossWeights(*self.eta)
@@ -165,18 +159,19 @@ def joint_losses(
     return loss_u, loss_d
 
 
-def check_scene_sizes(cfg: FusionNetConfig, batch: SceneBatch, op: str) -> None:
-    """Reject, by scene id, the first scene whose size the fusion head cannot reassemble."""
+def check_scene_sizes(branches: tuple[int, ...], batch: SceneBatch, op: str) -> None:
+    """Reject, by scene id, the first scene whose size the fusion head of `branches` cannot reassemble."""
     for i, pair in enumerate(batch.pairs):
-        cfg.check_image_size(f"{op}: scene {pair.scene_id or f'scene-{i:04d}'}", *pair.visible.shape)
+        check_image_size(branches, f"{op}: scene {pair.scene_id or f'scene-{i:04d}'}", *pair.visible.shape)
 
 
 def train(config: RunConfig, batch: SceneBatch | None = None) -> tuple[ToyModel, TrainLog]:
     """Seeded joint training; rejects unfusable scene sizes up front, aborts if a loss goes non-finite."""
     if batch is None:
         batch = SceneBatch.from_dir(config.dataset_root, config.train_split)
-    check_scene_sizes(config.model_config().fusion, batch, "train")
-    model = ToyModel.create(config.model_config(), config.seed)
+    cfg = config.model_config()
+    check_scene_sizes(cfg.branches, batch, "train")
+    model = ToyModel.create(cfg, config.seed)
     schedule = dif.build_schedule(config.diffusion_steps)
     rng = SplitMix64(config.seed).derive(0x7124)
     weights = config.loss_weights()

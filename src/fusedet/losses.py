@@ -1,9 +1,9 @@
 """Fusion training objective: structure + object-aware pixel + multi-scale gradient terms.
 
 All loss functions return scalar Vars so the fused image can be
-optimized end to end.  Source images, masks and saliency weights enter as
-constants; only the fused image (and anything upstream of it) carries
-gradients.
+optimized end to end.  Source images are HxW float arrays; they, masks
+and saliency weights enter as constants, and only the fused image (and
+anything upstream of it) carries gradients.
 """
 
 from __future__ import annotations
@@ -37,16 +37,6 @@ class LossWeights:
         w = (self.eta1, self.eta2, self.eta3)
         if not (all(np.isfinite(v) and v >= 0 for v in w) and sum(w) > 0):
             raise ValueError(f"loss weights must be finite and nonnegative with a positive sum, got {w}")
-
-
-def to_luminance(img: np.ndarray) -> np.ndarray:
-    """Collapse an RGB (3,H,W) image to luminance; single-channel passes through."""
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim == 2:
-        return img
-    if img.ndim == 3 and img.shape[0] == 3:
-        return 0.299 * img[0] + 0.587 * img[1] + 0.114 * img[2]
-    raise ValueError(f"to_luminance: expected HxW or 3xHxW, got shape {img.shape}")
 
 
 def _as_var(x) -> Var:
@@ -85,7 +75,6 @@ def ssim_loss(u, x, y) -> Var:
 
 def saliency_map(img: np.ndarray) -> np.ndarray:
     """Histogram-distance saliency: S(k) = sum_i p(i) * |q(k) - i| over 256 levels."""
-    img = to_luminance(img)
     # nan_to_num: a non-finite pixel gets a level here and still makes the loss non-finite
     q = np.clip(np.rint(np.nan_to_num(img * 255.0)), 0, 255).astype(np.intp)
     hist = np.bincount(q.reshape(-1), minlength=256).astype(np.float64)
@@ -102,8 +91,6 @@ def saliency_weights(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     w1 = Sx / (Sx + Sy + eps), w2 = 1 - w1.  Two constant images give
     Sx = Sy = 0, which falls back to w1 = 0, w2 = 1.
     """
-    x = to_luminance(x)
-    y = to_luminance(y)
     if x.shape != y.shape:
         raise ad.ShapeError(f"saliency_weights: image shapes differ, {x.shape} vs {y.shape}")
     sx = saliency_map(x)
@@ -131,8 +118,6 @@ def pixel_loss(u, x, y, mask: np.ndarray, weights: tuple[np.ndarray, np.ndarray]
     resolution independent.
     """
     u = _as_var(u)
-    x = to_luminance(np.asarray(x.value if isinstance(x, Var) else x))
-    y = to_luminance(np.asarray(y.value if isinstance(y, Var) else y))
     _check_same_shape("pixel_loss", u, x)
     _check_same_shape("pixel_loss", u, y)
     mask = np.asarray(mask, dtype=np.float64)
@@ -159,8 +144,6 @@ def highpass(img: np.ndarray, size: int) -> np.ndarray:
 def gradient_loss(u, x, y) -> Var:
     """Multi-scale high-pass matching: sum_k mean (hp_k(u) - max(hp_k(x), hp_k(y)))^2."""
     u = _as_var(u)
-    x = to_luminance(np.asarray(x.value if isinstance(x, Var) else x))
-    y = to_luminance(np.asarray(y.value if isinstance(y, Var) else y))
     _check_same_shape("gradient_loss", u, x)
     _check_same_shape("gradient_loss", u, y)
     total = None

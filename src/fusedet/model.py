@@ -16,13 +16,19 @@ Training builds the summary inside `forward_denoiser`, after the gather:
 order and the deepest map has four consumers (the gather, the mass and the
 two centroid products), so creating the summary first would change the
 float bytes of its gradient.
+
+A run chooses three things about the model (`ModelConfig`): its fusion
+branch set, the boxes sampled per scene and the diffusion steps.  The
+head's widths and init gain are module constants, like the fusion
+network's.  A model file (`fusedet-model-v2`) stores those three settings
+with the parameters, and loading checks both.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -32,41 +38,55 @@ from . import autodiff as ad
 from .autodiff import ParamSet, Var
 from .diffusion import unscale_boxes, BOX_SCALE
 from .fusion_net import (
-    FusionNetConfig,
+    BACKBONE_NAMES,
+    LEVEL_CHANNELS,
     backbone_forward,
-    backbone_names,
+    check_branches,
     fusion_forward,
     init_fusion_params,
 )
 from .rng import SplitMix64
 
-MODEL_FORMAT = "fusedet-model-v1"
+MODEL_FORMAT = "fusedet-model-v2"
+
+TIME_EMBED_DIM = 8
+MLP_HIDDEN = 64
+# detection-head weight scale; the head is shallow, so this directly
+# sets how hard the box objective pulls on the shared backbone
+DET_INIT_GAIN = 4.0
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    fusion: FusionNetConfig = FusionNetConfig()
-    time_embed_dim: int = 8
-    mlp_hidden: int = 64
+    """What a run chooses about the model; the rest is module constants."""
+
+    branches: tuple[int, ...] = (0, 1, 2, 3)
     boxes_per_scene: int = 16
     diffusion_steps: int = 1000
-    # detection-head weight scale; the head is shallow, so this directly
-    # sets how hard the box objective pulls on the shared backbone
-    det_init_gain: float = 4.0
+
+    def __post_init__(self):
+        """Reject, by field name, a config no model can be built from."""
+        for key in ("boxes_per_scene", "diffusion_steps"):
+            value = getattr(self, key)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{key} must be an integer of at least 1, got {value!r}")
+        try:
+            check_branches(self.branches)
+        except ValueError as e:
+            raise ValueError(f"branches: {e}") from None
 
     def to_json(self) -> dict:
-        d = asdict(self)
-        d["fusion"]["stage_channels"] = list(self.fusion.stage_channels)
-        d["fusion"]["branches"] = list(self.fusion.branches)
-        return d
+        return {**asdict(self), "branches": list(self.branches)}
 
     @classmethod
     def from_json(cls, d: dict) -> "ModelConfig":
-        f = dict(d["fusion"])
-        f["stage_channels"] = tuple(f["stage_channels"])
-        f["branches"] = tuple(f["branches"])
-        rest = {k: v for k, v in d.items() if k != "fusion"}
-        return cls(fusion=FusionNetConfig(**f), **rest)
+        keys = sorted(f.name for f in fields(cls))
+        if not isinstance(d, dict) or sorted(d) != keys:
+            got = sorted(d) if isinstance(d, dict) else type(d).__name__
+            raise ValueError(f"expected exactly the keys {keys}, got {got}")
+        if not isinstance(d["branches"], list):
+            raise ValueError(f"branches must be a list of branch ids, got {d['branches']!r}")
+        return cls(**{**d, "branches": tuple(d["branches"])})
 
 
 def time_embedding(t: int, total: int, dim: int) -> np.ndarray:
@@ -79,14 +99,12 @@ def time_embedding(t: int, total: int, dim: int) -> np.ndarray:
 
 def _init_values(cfg: ModelConfig, rng) -> dict[str, np.ndarray]:
     """Fresh parameters of both heads, drawn from `rng.normals`."""
-    values = init_fusion_params(cfg.fusion, rng)
-    feat_dim = cfg.fusion.stage_channels[-1]
+    values = init_fusion_params(cfg.branches, rng)
     # local feature + (mass, row-centroid, col-centroid) scene summary + box + time
-    in_dim = 4 * feat_dim + 4 + cfg.time_embed_dim
-    gain = cfg.det_init_gain
-    values["det.l1.w"] = rng.normals((in_dim, cfg.mlp_hidden)) * gain * np.sqrt(2.0 / in_dim)
-    values["det.l1.b"] = np.zeros(cfg.mlp_hidden)
-    values["det.l2.w"] = rng.normals((cfg.mlp_hidden, 4)) * np.sqrt(1.0 / cfg.mlp_hidden)
+    in_dim = 4 * LEVEL_CHANNELS[-1] + 4 + TIME_EMBED_DIM
+    values["det.l1.w"] = rng.normals((in_dim, MLP_HIDDEN)) * DET_INIT_GAIN * np.sqrt(2.0 / in_dim)
+    values["det.l1.b"] = np.zeros(MLP_HIDDEN)
+    values["det.l2.w"] = rng.normals((MLP_HIDDEN, 4)) * np.sqrt(1.0 / MLP_HIDDEN)
     values["det.l2.b"] = np.zeros(4)
     return values
 
@@ -106,14 +124,14 @@ class ToyModel:
 
     def __init__(self, cfg: ModelConfig, values: dict[str, np.ndarray]):
         self.cfg = cfg
-        self.params = ParamSet(values, shared=backbone_names(cfg.fusion))
+        self.params = ParamSet(values, shared=BACKBONE_NAMES)
 
     @classmethod
     def create(cls, cfg: ModelConfig, seed: int) -> "ToyModel":
         return cls(cfg, _init_values(cfg, SplitMix64(seed).derive(0xB00)))
 
     def forward_fusion(self, pvars: dict[str, Var], x: Var, y: Var) -> tuple[Var, list[Var]]:
-        return fusion_forward(pvars, x, y, self.cfg.fusion)
+        return fusion_forward(pvars, x, y, self.cfg.branches)
 
     def scene_features(self, pyramid: list[Var]) -> Var:
         """Box-independent (1, 3C) summary of the deepest map: squashed mass and row and column centroids.
@@ -154,7 +172,7 @@ class ToyModel:
         ones = Var.constant(np.ones((n, 1)))
         scene_tiled = ad.matmul(ones, scene)
         zvar = Var.constant(z_t / BOX_SCALE)  # keep MLP inputs O(1)
-        temb = Var.constant(np.tile(time_embedding(t, self.cfg.diffusion_steps, self.cfg.time_embed_dim), (n, 1)))
+        temb = Var.constant(np.tile(time_embedding(t, self.cfg.diffusion_steps, TIME_EMBED_DIM), (n, 1)))
         inp = ad.concat([local, scene_tiled, zvar, temb], axis=1)
         hdn = ad.relu(ad.linear(inp, pvars["det.l1.w"], pvars["det.l1.b"]))
         return ad.linear(hdn, pvars["det.l2.w"], pvars["det.l2.b"])
@@ -164,7 +182,7 @@ class ToyModel:
         pvars = self.params.constants()
         x = Var.constant(np.asarray(visible)[None])
         y = Var.constant(np.asarray(infrared)[None])
-        return self.denoiser_for_pyramid(pvars, backbone_forward(pvars, x, y, self.cfg.fusion))
+        return self.denoiser_for_pyramid(pvars, backbone_forward(pvars, x, y))
 
     def denoiser_for_pyramid(self, pvars: dict[str, Var], pyramid: list[Var]):
         """Closure (z_t, t) -> predicted boxes over a computed pyramid, with its scene summary built once."""
@@ -195,7 +213,10 @@ class ToyModel:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         if payload.get("format") != MODEL_FORMAT:
             raise ValueError(f"unrecognized model file format: {payload.get('format')!r}")
-        cfg = ModelConfig.from_json(payload["config"])
+        try:
+            cfg = ModelConfig.from_json(payload.get("config"))
+        except ValueError as e:
+            raise ValueError(f"model file config: {e}") from None
         values = {}
         for name, rec in payload["params"].items():
             arr = np.frombuffer(base64.b64decode(rec["data"]), dtype="<f8").reshape(rec["shape"])

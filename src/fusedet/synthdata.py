@@ -5,7 +5,9 @@ channel carries a smooth illumination gradient, band-limited texture and
 textured object silhouettes; the infrared channel is a low-texture
 background with bright blobs centered on the objects, so the mean
 intensity inside boxes always exceeds the outside.  Everything is a pure
-function of the scene seed.
+function of the scene seed.  A `SceneSpec` chooses the seed, the image
+size and the object count range; object sizes, texture amplitude and heat
+contrast are module constants.
 
 Dataset layout: <root>/<split>/<scene-id>.vis.pgm / .ir.pgm / .boxes.json
 """
@@ -13,7 +15,6 @@ Dataset layout: <root>/<split>/<scene-id>.vis.pgm / .ir.pgm / .boxes.json
 from __future__ import annotations
 
 import json
-import math
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +24,9 @@ import numpy as np
 from .rng import SplitMix64
 
 _PLACEMENT_RETRIES = 64
+MIN_SIZE, MAX_SIZE = 0.15, 0.35  # range of each object's box sides, as fractions of the image
+TEXTURE_AMP = 0.12  # visible background texture amplitude
+HOTSPOT_CONTRAST = 0.6  # scales the random part of each object's infrared heat, above a 0.75 floor
 
 
 class PgmParseError(ValueError):
@@ -35,30 +39,19 @@ class PgmParseError(ValueError):
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Knobs of the scene generator; a seed pins one concrete scene."""
+    """What a scene set varies; a seed pins one concrete scene."""
 
     seed: int
     width: int = 64
     height: int = 64
     min_objects: int = 1
     max_objects: int = 3
-    min_size: float = 0.15
-    max_size: float = 0.35
-    texture_amp: float = 0.12
-    hotspot_contrast: float = 0.6
 
     def __post_init__(self):
         if self.width < 32 or self.height < 32:
             raise ValueError("scene dimensions must be at least 32")
         if self.min_objects < 0 or self.max_objects < self.min_objects:
             raise ValueError("invalid object count range")
-        if self.min_size > self.max_size:
-            raise ValueError(f"min_size {self.min_size} exceeds max_size {self.max_size}")
-        if not (0.0 < self.min_size and self.max_size < 1.0):
-            raise ValueError("object sizes must lie in (0, 1)")
-        for name in ("texture_amp", "hotspot_contrast"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass
@@ -68,7 +61,6 @@ class ScenePair:
     visible: np.ndarray
     infrared: np.ndarray
     boxes: np.ndarray  # (k, 4) rows of (cx, cy, w, h) in [0, 1]
-    spec: SceneSpec | None = None
     scene_id: str = ""
 
 
@@ -110,7 +102,7 @@ def generate_scene(spec: SceneSpec) -> ScenePair:
     gdir = rng.uniform() * 2.0 * np.pi
     gamp = 0.15 + 0.15 * rng.uniform()
     base = 0.45 + gamp * (np.cos(gdir) * xs + np.sin(gdir) * ys - 0.5)
-    visible = base + spec.texture_amp * _smooth_noise(rng, h, w)
+    visible = base + TEXTURE_AMP * _smooth_noise(rng, h, w)
 
     infrared = 0.18 + 0.08 * (np.sin(gdir) * xs - 0.5) + 0.02 * _smooth_noise(rng, h, w, passes=3)
 
@@ -122,8 +114,8 @@ def generate_scene(spec: SceneSpec) -> ScenePair:
                 raise RuntimeError(
                     f"could not place object {len(boxes) + 1} after {_PLACEMENT_RETRIES} retries"
                 )
-            bw = spec.min_size + (spec.max_size - spec.min_size) * rng.uniform()
-            bh = spec.min_size + (spec.max_size - spec.min_size) * rng.uniform()
+            bw = MIN_SIZE + (MAX_SIZE - MIN_SIZE) * rng.uniform()
+            bh = MIN_SIZE + (MAX_SIZE - MIN_SIZE) * rng.uniform()
             cx = bw / 2 + (1.0 - bw) * rng.uniform()
             cy = bh / 2 + (1.0 - bh) * rng.uniform()
             cand = [cx, cy, bw, bh]
@@ -134,7 +126,7 @@ def generate_scene(spec: SceneSpec) -> ScenePair:
         shade = 0.25 + 0.5 * rng.uniform()
         detail = 0.15 * _smooth_noise(rng, h, w, passes=1)
         visible = np.where(mask, shade + detail, visible)
-        heat = 0.75 + spec.hotspot_contrast * 0.3 * rng.uniform()
+        heat = 0.75 + HOTSPOT_CONTRAST * 0.3 * rng.uniform()
         falloff = _smooth_noise(rng, h, w, passes=2) * 0.05
         infrared = np.where(mask, heat + falloff, infrared)
 
@@ -142,7 +134,6 @@ def generate_scene(spec: SceneSpec) -> ScenePair:
         visible=np.clip(visible, 0.0, 1.0),
         infrared=np.clip(infrared, 0.0, 1.0),
         boxes=np.asarray(boxes, dtype=np.float64).reshape(-1, 4),
-        spec=spec,
     )
 
 

@@ -21,7 +21,7 @@ from fusedet import metrics as met
 from fusedet import synthdata as sd
 from fusedet.autodiff import Var
 from fusedet.cli import main as cli_main
-from fusedet.fusion_net import FusionNetConfig, fusion_forward, init_fusion_params
+from fusedet.fusion_net import fusion_forward, init_fusion_params
 from fusedet.harness import RunConfig, run_arms, write_experiment_report
 from fusedet.model import ModelConfig, ToyModel
 from fusedet.rng import SplitMix64
@@ -112,22 +112,22 @@ def test_criterion_2_gradient_fidelity():
         worst["grad"] = max(worst["grad"], _fd_check(lambda v: losses.gradient_loss(v, x, y), u0.copy()))
 
     # full fusion network pass: sampled-coordinate FD across >= 100 instances
-    cfg = FusionNetConfig()
+    branches = (0, 1, 2, 3)
     h = 1e-6
     for i in range(100):
         seed_rng = SplitMix64(9000 + i)
-        values = init_fusion_params(cfg, seed_rng)
+        values = init_fusion_params(branches, seed_rng)
         vis = rng.uniform(size=(1, 8, 8))
         ir = rng.uniform(size=(1, 8, 8))
         probe = rng.normal(size=(8, 8))
 
         def forward() -> float:
             pv = {k: Var.leaf(v) for k, v in values.items()}
-            u, _ = fusion_forward(pv, Var.constant(vis), Var.constant(ir), cfg)
+            u, _ = fusion_forward(pv, Var.constant(vis), Var.constant(ir), branches)
             return ad.tsum(u * probe).item()
 
         pv = {k: Var.leaf(v, requires_grad=True) for k, v in values.items()}
-        u, _ = fusion_forward(pv, Var.constant(vis), Var.constant(ir), cfg)
+        u, _ = fusion_forward(pv, Var.constant(vis), Var.constant(ir), branches)
         names = sorted(values)
         grads = dict(zip(names, ad.gradients(ad.tsum(u * probe), [pv[n] for n in names])))
         for _ in range(3):

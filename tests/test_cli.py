@@ -178,6 +178,20 @@ class TestFuse:
         assert not out.exists()
 
 
+class TestDetect:
+    def test_model_file_with_a_bad_config_exits_two_naming_the_field(self, tmp_path, tiny_dataset, capsys):
+        model = tmp_path / "model.json"
+        ToyModel.create(ModelConfig(), 0).save(model)
+        payload = json.loads(model.read_text())
+        payload["config"]["boxes_per_scene"] = 0
+        model.write_text(json.dumps(payload))
+        out = tmp_path / "pred"
+        argv = ["detect", "--model", str(model), "--dataset-root", str(tiny_dataset), "--split", "val", "--out", str(out)]
+        assert main(argv) == 2
+        assert "error: model file config: boxes_per_scene must be an integer of at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def _reject_constant(token):
     raise ValueError(f"{token} is not valid JSON")
 
@@ -259,6 +273,13 @@ class TestGmtaDemo:
         ).stdout
         assert second == fresh and first + "\n}\n" != fresh
 
+
+    @pytest.mark.parametrize("matrix", ["[[1,0],[0,0]]", "[[1,0],[0,1e-300]]"])
+    def test_rank_deficient_matrix_prints_strict_json(self, capsys, matrix):
+        """JSON has no infinity: an infinite kappa is written as the string "inf"."""
+        assert main(["gmta-demo", "--matrix", matrix]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert payload["kappa_before"] == "inf"
 
     @pytest.mark.parametrize("argv, fault", [
         (["--matrix", "nope"], "--matrix is not JSON"),

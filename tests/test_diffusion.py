@@ -206,7 +206,7 @@ class TestSample:
 class TestPadBoxes:
     def test_pads_by_jittered_repetition(self):
         boxes = np.array([[0.5, 0.5, 0.2, 0.2]])
-        out = dif.pad_boxes(boxes, 8, SplitMix64(4), jitter=0.01)
+        out = dif.pad_boxes(boxes, 8, SplitMix64(4))
         assert out.shape == (8, 4)
         np.testing.assert_array_equal(out[0], boxes[0])  # original kept exact
         assert np.all(np.abs(out[1:] - boxes[0]) < 0.08)

@@ -2,6 +2,7 @@
 
 import base64
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,48 +19,47 @@ from fusedet.synthdata import ScenePair
 from tests.test_autodiff import rel_err
 
 
-def _place(cfg, seed=0):
-    values = fn.init_fusion_params(cfg, SplitMix64(seed))
+ALL = (0, 1, 2, 3)
+
+
+def _place(branches=ALL, seed=0):
+    values = fn.init_fusion_params(branches, SplitMix64(seed))
     return {k: Var.leaf(v, requires_grad=True) for k, v in values.items()}, values
 
 
 class TestBackbone:
     def test_identical_modalities_double_single_pass(self):
-        cfg = fn.FusionNetConfig()
-        pv, _ = _place(cfg)
+        pv, _ = _place()
         rng = np.random.default_rng(0)
         img = rng.uniform(size=(1, 16, 16))
         x = Var.constant(img)
-        pyramid = fn.backbone_forward(pv, x, Var.constant(img.copy()), cfg)
-        single = fn._backbone_single(pv, x, cfg)
+        pyramid = fn.backbone_forward(pv, x, Var.constant(img.copy()))
+        single = fn._backbone_single(pv, x)
         for lvl, one in zip(pyramid, single):
             np.testing.assert_allclose(lvl.value, 2.0 * one.value, atol=1e-12)
 
     def test_zero_input_bias_free_gives_zero_features(self):
-        cfg = fn.FusionNetConfig()
-        values = fn.init_fusion_params(cfg, SplitMix64(1))
+        values = fn.init_fusion_params(ALL, SplitMix64(1))
         for k in values:
             if k.startswith("backbone.") and k.endswith(".b"):
                 values[k] = np.zeros_like(values[k])
         pv = {k: Var.leaf(v) for k, v in values.items()}
         zero = Var.constant(np.zeros((1, 16, 16)))
-        for lvl in fn.backbone_forward(pv, zero, zero, cfg):
+        for lvl in fn.backbone_forward(pv, zero, zero):
             np.testing.assert_array_equal(lvl.value, 0.0)
 
     def test_pyramid_shapes(self):
-        cfg = fn.FusionNetConfig()
-        pv, _ = _place(cfg)
+        pv, _ = _place()
         img = Var.constant(np.random.default_rng(2).uniform(size=(1, 32, 32)))
-        pyramid = fn.backbone_forward(pv, img, img, cfg)
+        pyramid = fn.backbone_forward(pv, img, img)
         assert [lvl.value.shape for lvl in pyramid] == [
             (8, 32, 32), (8, 16, 16), (16, 8, 8), (32, 4, 4),
         ]
 
     def test_spatial_mismatch(self):
-        cfg = fn.FusionNetConfig()
-        pv, _ = _place(cfg)
+        pv, _ = _place()
         with pytest.raises(ad.ShapeError, match="modality shapes"):
-            fn.backbone_forward(pv, Var.constant(np.zeros((1, 8, 8))), Var.constant(np.zeros((1, 9, 9))), cfg)
+            fn.backbone_forward(pv, Var.constant(np.zeros((1, 8, 8))), Var.constant(np.zeros((1, 9, 9))))
 
 
 # side multiple the deepest enabled branch needs to upsample back to full size
@@ -78,12 +78,11 @@ _SIZE_MULTIPLE = {0: 1, 1: 1, 2: 2, 3: 4, 4: 8}
 @example(h=36, w=40, branches=(0, 4))
 def test_fusion_forward_size_rule(h, w, branches):
     """Either the fused image has the input's shape, or the size is rejected up front."""
-    cfg = fn.FusionNetConfig(branches=branches)
     m = _SIZE_MULTIPLE[max(branches)]
-    pv = {k: Var.constant(v) for k, v in fn.init_fusion_params(cfg, SplitMix64(0)).items()}
+    pv = {k: Var.constant(v) for k, v in fn.init_fusion_params(branches, SplitMix64(0)).items()}
     img = Var.constant(np.full((1, h, w), 0.5))
     try:
-        u, _ = fn.fusion_forward(pv, img, img, cfg)
+        u, _ = fn.fusion_forward(pv, img, img, branches)
     except ad.ShapeError as e:
         assert f"multiple of {m}" in str(e)
         assert h % m or w % m
@@ -183,19 +182,17 @@ class TestRegionRepresentation:
 
 class TestAssemble:
     def test_zero_branches_bias_free_gives_half_gray(self):
-        cfg = fn.FusionNetConfig(branches=(0, 1))
-        values = fn.init_fusion_params(cfg, SplitMix64(8))
+        values = fn.init_fusion_params((0, 1), SplitMix64(8))
         for k in values:
             if k.endswith(".b") or k.endswith(".beta"):
                 values[k] = np.zeros_like(values[k])
         pv = {k: Var.leaf(v) for k, v in values.items()}
         zero = Var.constant(np.zeros((1, 8, 8)))
-        u, _ = fn.fusion_forward(pv, zero, zero, cfg)
+        u, _ = fn.fusion_forward(pv, zero, zero, (0, 1))
         np.testing.assert_allclose(u.value, 0.5, atol=1e-12)
 
     def test_zero_gate_reduces_to_pixel_branch(self):
-        cfg = fn.FusionNetConfig(branches=(0, 1, 2))
-        values = fn.init_fusion_params(cfg, SplitMix64(9))
+        values = fn.init_fusion_params((0, 1, 2), SplitMix64(9))
         # force the gate closed: huge negative bias saturates the sigmoid
         values["fuse.gate.w"] = np.zeros_like(values["fuse.gate.w"])
         values["fuse.gate.b"] = np.full_like(values["fuse.gate.b"], -745.0)
@@ -203,34 +200,32 @@ class TestAssemble:
         rng = np.random.default_rng(10)
         x = Var.constant(rng.uniform(size=(1, 8, 8)))
         y = Var.constant(rng.uniform(size=(1, 8, 8)))
-        u_gated, _ = fn.fusion_forward(pv, x, y, cfg)
+        u_gated, _ = fn.fusion_forward(pv, x, y, (0, 1, 2))
 
-        cfg0 = fn.FusionNetConfig(branches=(0,))
         pv0 = {k: Var.leaf(v) for k, v in values.items() if not k.startswith("fuse.branch") and k not in ("fuse.mix.w", "fuse.mix.b", "fuse.gate.w", "fuse.gate.b")}
-        u_plain, _ = fn.fusion_forward(pv0, Var.constant(x.value), Var.constant(y.value), cfg0)
+        u_plain, _ = fn.fusion_forward(pv0, Var.constant(x.value), Var.constant(y.value), (0,))
         np.testing.assert_allclose(u_gated.value, u_plain.value, atol=1e-12)
 
     def test_output_in_unit_interval(self):
-        cfg = fn.FusionNetConfig()
-        pv, _ = _place(cfg, seed=11)
+        pv, _ = _place(seed=11)
         rng = np.random.default_rng(11)
         u, _ = fn.fusion_forward(
-            pv, Var.constant(rng.uniform(size=(1, 16, 16))), Var.constant(rng.uniform(size=(1, 16, 16))), cfg
+            pv, Var.constant(rng.uniform(size=(1, 16, 16))), Var.constant(rng.uniform(size=(1, 16, 16))), ALL
         )
         assert np.all(u.value >= 0.0) and np.all(u.value <= 1.0)
         assert u.value.shape == (16, 16)
 
     def test_branch_zero_required(self):
         with pytest.raises(ValueError, match="pixel branch 0"):
-            fn.FusionNetConfig(branches=(1, 2)).validate()
+            fn.check_branches((1, 2))
 
     def test_branch_ids_validated(self):
         with pytest.raises(ValueError, match="branch ids"):
-            fn.FusionNetConfig(branches=(0, 7)).validate()
+            fn.check_branches((0, 7))
 
     def test_image_size_check_names_a_bad_branch_id_first(self):
         with pytest.raises(ValueError, match=r"branch ids \[9\]"):
-            fn.FusionNetConfig(branches=(0, 9)).check_image_size("train", 64, 64)
+            fn.check_image_size((0, 9), "train", 64, 64)
 
 
 def _assemble_upsample_first(p, b0, branch_outs):
@@ -256,14 +251,13 @@ def _assemble_upsample_first(p, b0, branch_outs):
 
 def test_align_before_upsample_keeps_the_fused_bytes():
     """Aligning each branch at its own resolution changes no forward byte; gradients agree to rounding."""
-    cfg = fn.FusionNetConfig(branches=(0, 1, 2, 3))
     rng = np.random.default_rng(12)
     x0, y0 = rng.uniform(size=(1, 64, 64)), rng.uniform(size=(1, 64, 64))
     results = []
     for assemble in (fn.assemble_fuse, _assemble_upsample_first):
-        pv, _ = _place(cfg, seed=12)
+        pv, _ = _place(seed=12)
         x, y = Var.constant(x0), Var.constant(y0)
-        pyramid = fn.backbone_forward(pv, x, y, cfg)
+        pyramid = fn.backbone_forward(pv, x, y)
         branch_outs = [(l, fn.branch_output(pv, pyramid[l - 1], l)) for l in (1, 2, 3)]
         u = assemble(pv, fn.pixel_block(pv, x, y), branch_outs)
         names = sorted(pv)
@@ -299,7 +293,7 @@ def test_fuse_scene_peak_memory():
     model = ToyModel.create(ModelConfig(), seed=4)
     rng = np.random.default_rng(13)
     pair = ScenePair(rng.uniform(size=(128, 192)), rng.uniform(size=(128, 192)), np.zeros((0, 4)))
-    full_map = model.cfg.fusion.fuse_channels * 128 * 192 * 8
+    full_map = fn.FUSE_CHANNELS * 128 * 192 * 8
     harness.fuse_scene(model, pair)  # first-call allocations (caches, imports) are not the working set
     tracemalloc.start()
     try:
@@ -341,8 +335,7 @@ class TestCoupling:
 
 def test_full_forward_gradients_match_finite_differences():
     """Sampled-coordinate FD check through the whole fusion pass on 8x8 inputs."""
-    cfg = fn.FusionNetConfig()
-    values = fn.init_fusion_params(cfg, SplitMix64(21))
+    values = fn.init_fusion_params(ALL, SplitMix64(21))
     rng = np.random.default_rng(21)
     vis = rng.uniform(size=(1, 8, 8))
     ir = rng.uniform(size=(1, 8, 8))
@@ -350,11 +343,11 @@ def test_full_forward_gradients_match_finite_differences():
 
     def forward(vals) -> float:
         pv = {k: Var.leaf(v) for k, v in vals.items()}
-        u, _ = fn.fusion_forward(pv, Var.constant(vis), Var.constant(ir), cfg)
+        u, _ = fn.fusion_forward(pv, Var.constant(vis), Var.constant(ir), ALL)
         return ad.tsum(u * probe).item()
 
     pv = {k: Var.leaf(v, requires_grad=True) for k, v in values.items()}
-    u, _ = fn.fusion_forward(pv, Var.constant(vis), Var.constant(ir), cfg)
+    u, _ = fn.fusion_forward(pv, Var.constant(vis), Var.constant(ir), ALL)
     root = ad.tsum(u * probe)
     names = sorted(values)
     grads = dict(zip(names, ad.gradients(root, [pv[n] for n in names])))
@@ -409,13 +402,50 @@ class TestModelIO:
         with pytest.raises(ValueError, match="format"):
             ToyModel.load(tmp_path / "junk.json")
 
+    def test_config_json_holds_exactly_the_run_settings(self):
+        assert ModelConfig().to_json() == {"branches": [0, 1, 2, 3], "boxes_per_scene": 16, "diffusion_steps": 1000}
+
+    def test_saved_config_reloads_equal(self, tmp_path):
+        cfg = ModelConfig(branches=(0, 2), boxes_per_scene=5, diffusion_steps=50)
+        ToyModel.create(cfg, seed=1).save(tmp_path / "model.json")
+        assert ToyModel.load(tmp_path / "model.json").cfg == cfg
+
+    def test_v1_file_rejected_by_its_format(self, tmp_path):
+        path = tmp_path / "model.json"
+        ToyModel.create(ModelConfig(), seed=2).save(path)
+        path.write_text(path.read_text().replace("fusedet-model-v2", "fusedet-model-v1"))
+        with pytest.raises(ValueError, match="unrecognized model file format: 'fusedet-model-v1'"):
+            ToyModel.load(path)
+
+    @pytest.mark.parametrize("change, fault", [
+        ({"boxes_per_scene": 0}, "boxes_per_scene must be an integer of at least 1, got 0"),
+        ({"boxes_per_scene": -2}, "boxes_per_scene must be an integer of at least 1, got -2"),
+        ({"boxes_per_scene": True}, "boxes_per_scene must be an integer of at least 1, got True"),
+        ({"diffusion_steps": "x"}, "diffusion_steps must be an integer of at least 1, got 'x'"),
+        ({"diffusion_steps": None}, "expected exactly the keys ['boxes_per_scene', 'branches', 'diffusion_steps'], "
+                                    "got ['boxes_per_scene', 'branches']"),
+        ({"foo": 1}, "expected exactly the keys ['boxes_per_scene', 'branches', 'diffusion_steps'], "
+                     "got ['boxes_per_scene', 'branches', 'diffusion_steps', 'foo']"),
+        ({"branches": [1, 2]}, "branches: branch set must include the pixel branch 0"),
+        ({"branches": 3}, "branches must be a list of branch ids, got 3"),
+    ])
+    def test_bad_config_rejected_naming_the_fault(self, tmp_path, change, fault):
+        path = tmp_path / "model.json"
+        ToyModel.create(ModelConfig(), seed=2).save(path)
+        payload = json.loads(path.read_text())
+        config = {**payload["config"], **change}
+        payload["config"] = {k: v for k, v in config.items() if v is not None}  # None deletes the key
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(f"model file config: {fault}")):
+            ToyModel.load(path)
+
     @pytest.mark.parametrize("tamper, message", [
         (lambda p: p["params"].pop("fuse.mix.w"),
          r"'fuse.mix.w': the file has none, its config creates \(16, 16, 1, 1\)"),
         (lambda p: p["params"].__setitem__("fuse.extra.b", p["params"]["det.l2.b"]),
          r"'fuse.extra.b': the file has \(4,\), its config creates none"),
-        (lambda p: p["config"].__setitem__("mlp_hidden", 32),
-         r"'det.l1.b': the file has \(64,\), its config creates \(32,\)"),
+        (lambda p: p["config"].__setitem__("branches", [0, 1, 2]),
+         r"'fuse.branch3.align.b': the file has \(16,\), its config creates none"),
         (lambda p: p["params"]["det.l2.w"].__setitem__("shape", [4, 64]),
          r"'det.l2.w': the file has \(4, 64\), its config creates \(64, 4\)"),
         (lambda p: _poke(p, "fuse.gate.b", [3, 7], np.nan), r"'fuse.gate.b': 2 value\(s\) are not finite"),

@@ -25,6 +25,9 @@ from .autodiff import ParamSet, Var
 RANK_TOL = 1e-12  # sigma_i <= RANK_TOL * sigma_1 counts as zero
 _JACOBI_SWEEPS = 100
 _JACOBI_TOL = 1e-15
+# a column whose squared norm is below this (at unit scale) is handled at its own scale: its Gram
+# entries, and their products and rounding residues, would lose digits to underflow
+_GRAM_MIN = 2.0 ** -400
 
 
 class SvdConvergenceError(RuntimeError):
@@ -79,6 +82,31 @@ def _complete_column(u: np.ndarray, filled: int, col: int) -> None:
     raise RuntimeError("could not complete orthonormal basis")
 
 
+def _scaled_norm(col: np.ndarray) -> float:
+    """Euclidean norm taken at the column's own scale, so that no square underflows."""
+    m = np.max(np.abs(col))
+    return m * np.sqrt(np.sum((col / m) ** 2)) if m > 0 else 0.0
+
+
+def _small_column_tangent(ai: np.ndarray, aj: np.ndarray) -> float:
+    """`svd`'s rotation tangent for a pair with a column below _GRAM_MIN; 0 when none is needed.
+
+    With q = |aj| / |ai|, svd's tau is (q - 1/q) / (2 cos) for the cosine
+    between the columns.  Written in r = min(q, 1/q), the tangent needs no
+    Gram entry and cannot overflow; it underflows only where the rotation
+    would change nothing.
+    """
+    ni, nj = _scaled_norm(ai), _scaled_norm(aj)
+    if ni == 0.0 or nj == 0.0:
+        return 0.0
+    cos = (ai / ni) @ (aj / nj)
+    if abs(cos) <= _JACOBI_TOL:
+        return 0.0
+    r = min(ni, nj) / max(ni, nj)
+    k = 2.0 * cos * r / ((1.0 - r * r) + np.hypot(2.0 * cos * r, 1.0 - r * r))
+    return -k if nj < ni else k
+
+
 def svd(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD of a tall matrix by one-sided Jacobi column rotations.
 
@@ -101,12 +129,17 @@ def svd(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             for j in range(i + 1, t):
                 aii = a[:, i] @ a[:, i]
                 ajj = a[:, j] @ a[:, j]
-                aij = a[:, i] @ a[:, j]
-                if abs(aij) <= _JACOBI_TOL * np.sqrt(aii * ajj) or aij == 0.0:
-                    continue
+                if min(aii, ajj) < _GRAM_MIN:
+                    tpar = _small_column_tangent(a[:, i], a[:, j])
+                    if tpar == 0.0:
+                        continue
+                else:
+                    aij = a[:, i] @ a[:, j]
+                    if abs(aij) <= _JACOBI_TOL * np.sqrt(aii * ajj) or aij == 0.0:
+                        continue
+                    tau = (ajj - aii) / (2.0 * aij)
+                    tpar = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0 else 1.0
                 rotated = True
-                tau = (ajj - aii) / (2.0 * aij)
-                tpar = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0 else 1.0
                 c = 1.0 / np.sqrt(1.0 + tpar * tpar)
                 s = tpar * c
                 ai, aj = a[:, i].copy(), a[:, j].copy()
@@ -119,7 +152,10 @@ def svd(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             break
     else:
         raise SvdConvergenceError(f"one-sided Jacobi did not converge in {_JACOBI_SWEEPS} sweeps")
-    norms = np.sqrt(np.sum(a * a, axis=0))
+    squares = np.sum(a * a, axis=0)
+    norms = np.sqrt(squares)
+    for k in np.flatnonzero(squares < _GRAM_MIN):
+        norms[k] = _scaled_norm(a[:, k])
     order = np.argsort(-norms, kind="stable")
     norms = norms[order]
     sigma = norms * (scale if scale > 0 else 1.0)

@@ -37,7 +37,6 @@ class RunConfig:
     iterations: int = 500
     learning_rate: float = 0.05
     task_weights: tuple[float, float] = (0.5, 0.5)
-    eta: tuple[float, float, float] = (1.0, 10.0, 1.0)
     gmta: bool = True
     gmta_period: int = 1
     diffusion_steps: int = 1000
@@ -59,36 +58,27 @@ class RunConfig:
             ("learning_rate", math.isfinite(self.learning_rate) and self.learning_rate > 0, "finite and positive"),
             ("task_weights", len(w) == 2 and all(math.isfinite(v) and v >= 0 for v in w) and sum(w) > 0,
              "two finite nonnegative numbers with a positive sum"),
-            ("eta", len(self.eta) == 3, "three loss weights"),
         ):
             if not ok:
                 raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
-        try:
-            self.loss_weights()
-        except ValueError as e:
-            raise ValueError(f"eta: {e}") from None
         self.model_config()  # branches, boxes_per_scene and diffusion_steps: its errors name the field
 
     def to_json(self) -> dict:
         d = asdict(self)
         d["task_weights"] = list(self.task_weights)
-        d["eta"] = list(self.eta)
         d["branches"] = list(self.branches)
         return d
 
     @classmethod
     def from_json(cls, d: dict) -> "RunConfig":
         d = dict(d)
-        for key in ("task_weights", "eta", "branches"):
+        for key in ("task_weights", "branches"):
             if key in d:
                 d[key] = tuple(d[key])
         return cls(**d)
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(tuple(self.branches), self.boxes_per_scene, self.diffusion_steps)
-
-    def loss_weights(self) -> losses.LossWeights:
-        return losses.LossWeights(*self.eta)
 
 
 @dataclass
@@ -100,14 +90,12 @@ class TrainLog:
             for rec in self.records:
                 f.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
 
-    def mean_loss(self, which: str, first: int = 0, last: int | None = None) -> float:
-        span = self.records[first:last]
-        return float(np.mean([getattr(r, which) for r in span])) if span else float("nan")
-
     def final_losses(self) -> tuple[float, float]:
-        """Mean loss_u and loss_d over the last 20 steps (all of them in a shorter run)."""
-        tail = max(1, min(20, len(self.records)))
-        return self.mean_loss("loss_u", first=-tail), self.mean_loss("loss_d", first=-tail)
+        """Mean loss_u and loss_d over the last 20 steps (all of them in a shorter run; NaN in an empty one)."""
+        tail = self.records[-20:]
+        if not tail:
+            return float("nan"), float("nan")
+        return float(np.mean([r.loss_u for r in tail])), float(np.mean([r.loss_d for r in tail]))
 
 
 class SceneBatch:
@@ -139,7 +127,6 @@ def joint_losses(
     model: ToyModel,
     pair: sd.ScenePair,
     consts: dict,
-    weights: losses.LossWeights,
     schedule: dif.DiffusionSchedule,
     rng: SplitMix64,
     n_boxes: int,
@@ -149,7 +136,7 @@ def joint_losses(
     x = Var.constant(pair.visible[None])
     y = Var.constant(pair.infrared[None])
     u, pyramid = model.forward_fusion(pvars, x, y)
-    loss_u = losses.fusion_loss(u, pair.visible, pair.infrared, consts["mask"], weights, consts["saliency"])
+    loss_u = losses.fusion_loss(u, pair.visible, pair.infrared, consts["mask"], consts["saliency"])
     z0 = dif.pad_boxes(pair.boxes, n_boxes, rng)
     t = rng.randint(1, schedule.steps)
     eps = rng.normals((n_boxes, 4))
@@ -174,12 +161,11 @@ def train(config: RunConfig, batch: SceneBatch | None = None) -> tuple[ToyModel,
     model = ToyModel.create(cfg, config.seed)
     schedule = dif.build_schedule(config.diffusion_steps)
     rng = SplitMix64(config.seed).derive(0x7124)
-    weights = config.loss_weights()
     log = TrainLog()
     for step in range(config.iterations):
         idx = rng.randint(0, len(batch.pairs) - 1)
         loss_u, loss_d = joint_losses(
-            model, batch.pairs[idx], batch.constants(idx), weights, schedule, rng, config.boxes_per_scene
+            model, batch.pairs[idx], batch.constants(idx), schedule, rng, config.boxes_per_scene
         )
         lu, ld = loss_u.item(), loss_d.item()
         if not (math.isfinite(lu) and math.isfinite(ld)):

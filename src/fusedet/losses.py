@@ -8,8 +8,6 @@ anything upstream of it) carries gradients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -23,20 +21,7 @@ _SSIM_WINDOW = ad.gaussian_kernel(SSIM_WINDOW_SIZE, SSIM_SIGMA)
 
 GRAD_KERNEL_SIZES = (3, 5, 7)
 SALIENCY_EPS = 1e-8
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Weights of the structure, pixel and gradient terms."""
-
-    eta1: float = 1.0
-    eta2: float = 10.0
-    eta3: float = 1.0
-
-    def __post_init__(self):
-        w = (self.eta1, self.eta2, self.eta3)
-        if not (all(np.isfinite(v) and v >= 0 for v in w) and sum(w) > 0):
-            raise ValueError(f"loss weights must be finite and nonnegative with a positive sum, got {w}")
+PIXEL_WEIGHT = 10.0  # of the pixel term in `fusion_loss`; the structure and gradient terms weigh 1
 
 
 def _as_var(x) -> Var:
@@ -155,22 +140,10 @@ def gradient_loss(u, x, y) -> Var:
     return total
 
 
-def fusion_loss(
-    u, x, y, mask: np.ndarray, weights: LossWeights = LossWeights(),
-    saliency: tuple[np.ndarray, np.ndarray] | None = None,
-) -> Var:
-    """Weighted sum of the three fusion terms, differentiable end to end.
+def fusion_loss(u, x, y, mask: np.ndarray, saliency: tuple[np.ndarray, np.ndarray] | None = None) -> Var:
+    """Structure + PIXEL_WEIGHT * pixel + gradient terms, differentiable end to end.
 
     `saliency` is `saliency_weights(x, y)`, computed here when not given.
     """
     u = _as_var(u)
-    total = None
-    if weights.eta1 > 0:
-        total = ssim_loss(u, x, y) * weights.eta1
-    if weights.eta2 > 0:
-        term = pixel_loss(u, x, y, mask, saliency) * weights.eta2
-        total = term if total is None else total + term
-    if weights.eta3 > 0:
-        term = gradient_loss(u, x, y) * weights.eta3
-        total = term if total is None else total + term
-    return total
+    return ssim_loss(u, x, y) + pixel_loss(u, x, y, mask, saliency) * PIXEL_WEIGHT + gradient_loss(u, x, y)

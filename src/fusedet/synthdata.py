@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .metrics import iou_matrix
 from .rng import SplitMix64
 
 _PLACEMENT_RETRIES = 64
@@ -84,14 +85,6 @@ def _ellipse_mask(h: int, w: int, cx: float, cy: float, bw: float, bh: float) ->
     return (dx * dx + dy * dy) <= 1.0
 
 
-def _boxes_overlap(a, b) -> bool:
-    ax0, ax1 = a[0] - a[2] / 2, a[0] + a[2] / 2
-    ay0, ay1 = a[1] - a[3] / 2, a[1] + a[3] / 2
-    bx0, bx1 = b[0] - b[2] / 2, b[0] + b[2] / 2
-    by0, by1 = b[1] - b[3] / 2, b[1] + b[3] / 2
-    return not (ax1 <= bx0 or bx1 <= ax0 or ay1 <= by0 or by1 <= ay0)
-
-
 def generate_scene(spec: SceneSpec) -> ScenePair:
     """Render one deterministic scene pair from its spec."""
     rng = SplitMix64(spec.seed)
@@ -119,7 +112,7 @@ def generate_scene(spec: SceneSpec) -> ScenePair:
             cx = bw / 2 + (1.0 - bw) * rng.uniform()
             cy = bh / 2 + (1.0 - bh) * rng.uniform()
             cand = [cx, cy, bw, bh]
-            if not any(_boxes_overlap(cand, b) for b in boxes):
+            if not np.any(iou_matrix([cand], boxes) > 0):
                 boxes.append(cand)
                 break
         mask = _ellipse_mask(h, w, cx, cy, bw, bh)

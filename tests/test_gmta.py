@@ -78,6 +78,24 @@ class TestSvd:
         with pytest.raises(ValueError, match="non-finite"):
             gmta.svd(np.array([[np.nan, 0.0], [0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("rows", [
+        [[1, 1e-300], [0, 1e-300]],
+        [[1, 1e-200], [0, 1e-200]],
+        [[1, 1e-170], [1e-170, 0]],
+        [[1, 0], [0, 1e-300]],
+        [[1, 0], [0, 1e-160]],
+        [[3, 1e-250], [1, -1e-250], [2, 4e-250]],
+        [[3, 1e-250, 2e-250], [1, -1e-250, 5e-250], [2, 4e-250, 1e-250]],
+        np.random.default_rng(4).normal(size=(6, 3)) * [1.0, 1e-200, 1e-290],
+    ])
+    def test_columns_far_apart_in_scale(self, rows):
+        """Columns whose squared norms underflow beside the largest still rotate, converge and keep their norms."""
+        g = np.array(rows, dtype=np.float64)
+        u, s, v = gmta.svd(g)
+        np.testing.assert_allclose(s, np.linalg.svd(g, compute_uv=False), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(u.T @ u, np.eye(g.shape[1]), atol=1e-12)
+        np.testing.assert_allclose(v.T @ v, np.eye(g.shape[1]), atol=1e-12)
+
 
 class TestConditionNumber:
     def test_orthogonal_equal_norm_is_one(self):

@@ -45,7 +45,7 @@ def run_500(tiny_dataset, train_batch):
 
 class TestRunConfig:
     def test_json_round_trip(self, tiny_dataset):
-        cfg = _cfg(tiny_dataset, branches=(0, 1), eta=(1.0, 5.0, 0.5))
+        cfg = _cfg(tiny_dataset, branches=(0, 1), task_weights=(0.25, 0.75))
         back = RunConfig.from_json(json.loads(json.dumps(cfg.to_json())))
         assert back == cfg
 
@@ -105,10 +105,9 @@ class TestTrain:
     @pytest.mark.slow
     def test_500_iteration_run_halves_both_losses(self, run_500):
         _, log = run_500
-        first_u = log.mean_loss("loss_u", 0, 20)
-        last_u = log.mean_loss("loss_u", -20)
-        first_d = log.mean_loss("loss_d", 0, 20)
-        last_d = log.mean_loss("loss_d", -20)
+        first_u = np.mean([r.loss_u for r in log.records[:20]])
+        first_d = np.mean([r.loss_d for r in log.records[:20]])
+        last_u, last_d = log.final_losses()
         assert last_u < 0.5 * first_u
         assert last_d < 0.5 * first_d
 
@@ -143,6 +142,9 @@ class TestTrainLog:
         log = TrainLog([_report(i, float(i), 2.0 * i) for i in range(n)])
         tail = list(range(max(0, n - 20), n))
         assert log.final_losses() == (float(np.mean(tail)), float(np.mean([2.0 * i for i in tail])))
+
+    def test_final_losses_of_an_empty_log_are_nan(self):
+        assert all(math.isnan(v) for v in TrainLog().final_losses())
 
 
 def test_train_records_are_what_gmta_step_returns(tiny_dataset, train_batch, monkeypatch):
@@ -181,8 +183,8 @@ def test_training_step_tape_memory(tiny_dataset, train_batch):
     schedule = dif.build_schedule(cfg.diffusion_steps)
 
     def forward():
-        return harness.joint_losses(model, train_batch.pairs[0], train_batch.constants(0), cfg.loss_weights(),
-                                    schedule, SplitMix64(0), cfg.boxes_per_scene)
+        return harness.joint_losses(model, train_batch.pairs[0], train_batch.constants(0), schedule, SplitMix64(0),
+                                    cfg.boxes_per_scene)
 
     ad.backward(forward()[0], model.params)  # first-call allocations (caches, imports) are not the working set
     tracemalloc.start()
